@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	traceOut := flag.String("trace", "", "write a combined Chrome trace-event file and append critical-path + traffic tables")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
-	topoFlag := flag.String("topo", "", "fabric topology: flat (single switch, byte-identical to the default) or tree:RxN@O (R racks x N nodes, O:1 oversubscribed spine)")
+	topoFlag := flag.String("topo", "", "fabric topology: tree:RxN@O (R racks x N nodes, O:1 oversubscribed spine); empty = single-switch flat fabric")
 	seeds := flag.Int("seeds", 1, "run each experiment at N consecutive seeds and report statistics across runs")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -seeds sweeps (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list experiment ids and exit")

@@ -48,7 +48,7 @@ func main() {
 	rebalance := flag.Float64("rebalance", 10, "consolidation tick period, seconds (0 disables)")
 	reclaimAt := flag.String("reclaim-at", "", "owner-driven reclaim, node@seconds (e.g. 2@30)")
 	crash := flag.String("crash", "", "inject a node crash, node@seconds (e.g. 1@25)")
-	topoFlag := flag.String("topo", "", "fabric topology: flat or tree:RxN@O; a tree makes placement locality-aware (e.g. tree:2x4@4)")
+	topoFlag := flag.String("topo", "", "fabric topology: tree:RxN@O makes placement locality-aware (e.g. tree:2x4@4); empty = single-switch flat fabric")
 	events := flag.Int("events", 20, "event-log rows to print (0 disables, -1 prints all)")
 	flag.Parse()
 
@@ -67,7 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fragfleet:", err)
 		os.Exit(1)
 	}
-	if spec != nil && spec.Nodes() != 0 && *nodes > spec.Nodes() {
+	if spec != nil && *nodes > spec.Nodes() {
 		fmt.Fprintf(os.Stderr, "fragfleet: %d nodes do not fit the %s topology\n", *nodes, spec)
 		os.Exit(1)
 	}

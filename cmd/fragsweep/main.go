@@ -41,7 +41,7 @@ func main() {
 	seedBase := flag.Int64("seed", 1, "first seed")
 	seedList := flag.String("seed-list", "", "explicit comma-separated seeds (overrides -seeds/-seed)")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	topoFlag := flag.String("topo", "", "fabric topology for every grid point: flat or tree:RxN@O")
+	topoFlag := flag.String("topo", "", "fabric topology for every grid point: tree:RxN@O; empty = single-switch flat fabric")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	runsOut := flag.Bool("runs", false, "also emit every per-run table")
 	list := flag.Bool("list", false, "list experiment ids and exit")

@@ -33,7 +33,7 @@ func main() {
 	out := flag.String("out", "trace.json", "Chrome trace-event output file")
 	scale := flag.Float64("scale", 0.01, "workload scale (1.0 = paper scale)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	topoFlag := flag.String("topo", "", "fabric topology: flat or tree:RxN@O (empty = legacy netsim fabric)")
+	topoFlag := flag.String("topo", "", "fabric topology: tree:RxN@O; empty = single-switch flat fabric")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 

@@ -72,10 +72,7 @@ func (h Hooks) install(c *cluster.Cluster) {
 		return
 	}
 	fh := netsim.TestHooks{WedgeOnDrop: h.WedgeOnDrop, PhantomEndpoints: h.PhantomEndpoints}
-	type hookable interface{ SetTestHooks(netsim.TestHooks) }
-	if f, ok := c.Fabric.(hookable); ok {
-		f.SetTestHooks(fh)
-	}
+	c.Fabric.SetTestHooks(fh)
 	c.Client.SetTestHooks(fh)
 	c.Reliable.SetTestHooks(reliable.TestHooks{NoDedup: h.NoDedup})
 }

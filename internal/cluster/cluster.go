@@ -33,11 +33,11 @@ type Params struct {
 	EthLat       sim.Time // client network one-way latency
 	SSDBps       float64  // SSD sequential bandwidth, bytes/second
 
-	// Topo selects the inter-hypervisor fabric model: nil keeps the
-	// legacy flat netsim.Net; a topology spec compiles a topo.Fabric
-	// with FabricGbps/FabricLat as the host-link parameters. The client
-	// Ethernet always stays flat — load generators sit outside the
-	// datacenter tree.
+	// Topo selects the inter-hypervisor fabric's route shape: nil is the
+	// single-switch flat fabric (netsim.New); a topology spec compiles a
+	// tree fabric with FabricGbps/FabricLat as the host-link parameters.
+	// The client Ethernet always stays flat — load generators sit
+	// outside the datacenter tree.
 	Topo *topo.Spec
 }
 
@@ -67,8 +67,8 @@ type Node struct {
 type Cluster struct {
 	Env    *sim.Env
 	Nodes  []*Node
-	Fabric netsim.Fabric // inter-hypervisor network (InfiniBand)
-	Client *netsim.Net   // client-facing network (1 GbE)
+	Fabric *netsim.Net // inter-hypervisor network (InfiniBand)
+	Client *netsim.Net // client-facing network (1 GbE)
 	// Reliable is the shared ack/retransmit transport over Fabric for
 	// blocking bulk senders (checkpoint chunks, fleet probes). With no
 	// fault filter installed it degenerates to a raw fabric send, so
@@ -85,9 +85,9 @@ func New(env *sim.Env, n int, p Params) *Cluster {
 	if p.CPUHz <= 0 || p.CoresPerNode <= 0 {
 		panic("cluster: invalid CPU parameters")
 	}
-	var fabric netsim.Fabric
+	var fabric *netsim.Net
 	if p.Topo != nil {
-		if max := p.Topo.Nodes(); max != 0 && n > max {
+		if max := p.Topo.Nodes(); n > max {
 			panic(fmt.Sprintf("cluster: %d nodes do not fit the %s topology", n, p.Topo))
 		}
 		fabric = p.Topo.Build(env, "fabric", p.FabricGbps, p.FabricLat)

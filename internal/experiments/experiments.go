@@ -41,10 +41,9 @@ type Options struct {
 	// Acct, when non-nil, registers every cluster the experiment builds,
 	// so per-node fabric traffic can be reported after the run.
 	Acct *Traffic
-	// Topo, when non-nil, selects the inter-hypervisor fabric topology
-	// for every cluster the experiment builds (nil = the legacy flat
-	// netsim fabric; topo.FlatSpec() takes the topology code path with
-	// byte-identical results — the topo-smoke gate).
+	// Topo, when non-nil, compiles the inter-hypervisor fabric of every
+	// cluster the experiment builds as that tree topology (nil = the
+	// single-switch flat fabric).
 	Topo *topo.Spec
 }
 

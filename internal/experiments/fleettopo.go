@@ -5,6 +5,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/hypervisor"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -39,7 +40,7 @@ func FleetTopo(o Options) *metrics.Table {
 		iters = 100
 	}
 
-	run := func(label string, nodes []int) (sim.Time, *topo.Fabric) {
+	run := func(label string, nodes []int) (sim.Time, *netsim.Net) {
 		env := o.newEnv("fleettopo/" + label)
 		p := o.params()
 		p.Topo = spec
@@ -47,7 +48,7 @@ func FleetTopo(o Options) *metrics.Table {
 		vm := hypervisor.New(hypervisor.FragVisorConfig(c,
 			hypervisor.SpreadPlacement(nodes, len(nodes)), guestMem))
 		elapsed := workload.SharingLoop(vm, workload.TrueSharing, iters)
-		return elapsed, c.Fabric.(*topo.Fabric)
+		return elapsed, c.Fabric
 	}
 	local, _ := run("rack-local", []int{0, 1})
 	cross, fab := run("cross-spine", []int{0, 2})

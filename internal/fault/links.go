@@ -6,10 +6,10 @@
 //
 // The injector keeps its own canonical directed link names ("nX-up",
 // "torR-down", ...) derived from the cluster's topo.Spec instead of the
-// fabric's internal graph: the fault model must also work on the legacy
-// flat netsim fabric, which has no link objects at all. On flat fabrics
-// a message's route is simply sender-up + receiver-down, so host-level
-// domains behave identically across all three fabric models.
+// fabric's internal graph: the fault model must also work on the flat
+// fabric, whose only links are per-sender egress NICs. On the flat
+// fabric a message's fault route is simply sender-up + receiver-down, so
+// host-level domains behave identically on both route shapes.
 package fault
 
 import (
@@ -23,7 +23,7 @@ import (
 // linkNames precomputes the canonical directed names for a cluster shape
 // so per-message route evaluation never formats strings.
 type linkNames struct {
-	spec    *topo.Spec // nil = legacy flat fabric
+	spec    *topo.Spec // nil = flat fabric
 	nodes   int        // addressable cluster nodes (external hosts excluded)
 	up      []string   // nX-up
 	down    []string   // nX-down
@@ -37,7 +37,7 @@ func newLinkNames(spec *topo.Spec, nodes int) *linkNames {
 		ln.up = append(ln.up, fmt.Sprintf("n%d-up", n))
 		ln.down = append(ln.down, fmt.Sprintf("n%d-down", n))
 	}
-	if spec != nil && !spec.Flat {
+	if spec != nil {
 		for r := 0; r < spec.Racks; r++ {
 			ln.torUp = append(ln.torUp, fmt.Sprintf("tor%d-up", r))
 			ln.torDown = append(ln.torDown, fmt.Sprintf("tor%d-down", r))
@@ -56,7 +56,7 @@ func (ln *linkNames) route(from, to int, buf []string) []string {
 	if from == to {
 		return buf
 	}
-	tree := ln.spec != nil && !ln.spec.Flat
+	tree := ln.spec != nil
 	if ln.inRange(from) {
 		buf = append(buf, ln.up[from])
 		if tree && ln.inRange(to) && ln.spec.Rack(from) != ln.spec.Rack(to) {

@@ -103,7 +103,7 @@ type ServiceStats struct {
 // Layer is the messaging layer over a fabric. Construct with NewLayer.
 type Layer struct {
 	env      *sim.Env
-	net      netsim.Fabric
+	net      *netsim.Net
 	params   Params
 	handlers map[serviceKey]Handler
 	stats    map[string]*ServiceStats
@@ -118,9 +118,9 @@ type serviceKey struct {
 	service string
 }
 
-// NewLayer returns a messaging layer over the given fabric — a flat
-// netsim.Net or a topology-aware topo.Fabric.
-func NewLayer(env *sim.Env, net netsim.Fabric, p Params) *Layer {
+// NewLayer returns a messaging layer over the given fabric, of either
+// route shape (netsim.New or a topo.Spec's tree).
+func NewLayer(env *sim.Env, net *netsim.Net, p Params) *Layer {
 	return &Layer{
 		env:      env,
 		net:      net,
@@ -257,7 +257,7 @@ func (l *Layer) Stats(service string) ServiceStats {
 }
 
 // Net returns the underlying fabric.
-func (l *Layer) Net() netsim.Fabric { return l.net }
+func (l *Layer) Net() *netsim.Net { return l.net }
 
 // Env returns the simulation environment.
 func (l *Layer) Env() *sim.Env { return l.env }

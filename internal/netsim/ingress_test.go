@@ -1,7 +1,6 @@
 package netsim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/netsim"
@@ -11,9 +10,9 @@ import (
 
 // TestTreeIngressSerialization is the regression test for the
 // receiver-side modeling gap: with only sender-egress NICs (the flat
-// fabric), N senders deliver to one receiver simultaneously; on the
-// topology path the receiver's downlink is a shared FIFO link, so the
-// deliveries serialize.
+// shape), N senders deliver to one receiver simultaneously; on the tree
+// shape the receiver's downlink is a shared FIFO link, so the deliveries
+// serialize.
 func TestTreeIngressSerialization(t *testing.T) {
 	env := sim.NewEnv()
 	fab := topo.TreeSpec(1, 3, 1).Build(env, "fabric", 8, 0) // 1e9 B/s, 0 latency
@@ -32,74 +31,18 @@ func TestTreeIngressSerialization(t *testing.T) {
 	}
 }
 
-// TestFlatNoIngressSerialization pins the compatibility side: the flat
-// topology keeps netsim's egress-only model, so concurrent senders to
-// one receiver still deliver simultaneously — byte-identical legacy
-// figures depend on it.
+// TestFlatNoIngressSerialization pins the other side: the flat shape
+// charges only the sender's egress link, so concurrent senders to one
+// receiver still deliver simultaneously — every figure run on the
+// default fabric depends on it.
 func TestFlatNoIngressSerialization(t *testing.T) {
 	env := sim.NewEnv()
-	fab := topo.FlatSpec().Build(env, "fabric", 8, 0)
+	fab := netsim.New(env, "fabric", 0, 8) // 1e9 B/s, 0 latency
 	var a, b sim.Time
 	fab.Send(0, 2, 1000, func() { a = env.Now() })
 	fab.Send(1, 2, 1000, func() { b = env.Now() })
 	env.Run()
 	if a != sim.Microsecond || b != sim.Microsecond {
 		t.Errorf("deliveries at %v and %v, want both 1us", a, b)
-	}
-}
-
-// TestFlatEquivalence drives the same pseudo-random message sequence
-// through netsim.Net and a flat topo.Fabric and requires identical
-// delivery times and identical accounting — the flat-equivalence
-// contract the netsim.Fabric interface documents.
-func TestFlatEquivalence(t *testing.T) {
-	const (
-		lat   = 1500 * sim.Nanosecond
-		gbps  = 56
-		sends = 500
-	)
-	type send struct{ from, to, size int }
-	rng := rand.New(rand.NewSource(99))
-	seq := make([]send, sends)
-	for i := range seq {
-		seq[i] = send{rng.Intn(4), rng.Intn(4), 1 + rng.Intn(1<<16)}
-	}
-
-	run := func(fab netsim.Fabric, env *sim.Env) ([]sim.Time, netsim.Stats, []int) {
-		arrivals := make([]sim.Time, 0, 2*sends)
-		for _, s := range seq {
-			s := s
-			at := fab.Send(s.from, s.to, s.size, func() {
-				arrivals = append(arrivals, env.Now())
-			})
-			arrivals = append(arrivals, at)
-		}
-		env.Run()
-		return arrivals, fab.Stats(), fab.Endpoints()
-	}
-
-	envN := sim.NewEnv()
-	gotN, statsN, epsN := run(netsim.New(envN, "fabric", lat, gbps), envN)
-	envT := sim.NewEnv()
-	gotT, statsT, epsT := run(topo.FlatSpec().Build(envT, "fabric", gbps, lat), envT)
-
-	if len(gotN) != len(gotT) {
-		t.Fatalf("event counts differ: %d vs %d", len(gotN), len(gotT))
-	}
-	for i := range gotN {
-		if gotN[i] != gotT[i] {
-			t.Fatalf("event %d: netsim %v, flat topo %v", i, gotN[i], gotT[i])
-		}
-	}
-	if statsN != statsT {
-		t.Fatalf("stats differ: %+v vs %+v", statsN, statsT)
-	}
-	if len(epsN) != len(epsT) {
-		t.Fatalf("endpoint sets differ: %v vs %v", epsN, epsT)
-	}
-	for i, id := range epsN {
-		if epsT[i] != id {
-			t.Fatalf("endpoint sets differ: %v vs %v", epsN, epsT)
-		}
 	}
 }

@@ -247,6 +247,13 @@ func TestInvalidParams(t *testing.T) {
 		func() { New(env, "x", 0, 0) },
 		func() { New(env, "x", -1, 1) },
 		func() { New(env, "x", 0, 1).TxTime(-1) },
+		func() { NewTree(env, "t", 0, 56, 0, 2, 1, 0) },
+		func() { NewTree(env, "t", 0, 56, 2, 0, 1, 0) },
+		func() { NewTree(env, "t", 0, 56, 2, 2, 0.5, 0) },
+		func() { NewTree(env, "t", 0, 56, 2, 2, 1, -1) },
+		func() { NewTree(env, "t", 0, 0, 2, 2, 1, 0) },
+		func() { NewTree(env, "t", -1, 56, 2, 2, 1, 0) },
+		func() { NewTree(env, "t", 0, 56, 2, 2, 1, 0).Send(0, 4, 1, nil) },
 	} {
 		func() {
 			defer func() {

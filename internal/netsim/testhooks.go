@@ -12,7 +12,7 @@ type TestHooks struct {
 	// watchdog turns into a typed StallError).
 	WedgeOnDrop bool
 	// PhantomEndpoints re-introduces the pre-fix EndpointSent behavior:
-	// probing an endpoint that never sent allocates a NIC record, so
+	// probing an endpoint that never sent allocates an endpoint record, so
 	// reads grow Endpoints() with zero-traffic phantoms and fabric
 	// accounting reports break.
 	PhantomEndpoints bool

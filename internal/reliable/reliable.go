@@ -1,5 +1,5 @@
 // Package reliable is an ack/timeout/retransmit layer over a
-// netsim.Fabric: blocking sends that survive a lossy fabric instead of
+// netsim.Net: blocking sends that survive a lossy fabric instead of
 // wedging the sending proc forever.
 //
 // The raw fabrics deliberately model a network that loses frames
@@ -157,7 +157,7 @@ func (w *window) admit(seq uint64) bool {
 // Construct with New; not safe for use from multiple Envs.
 type Transport struct {
 	env     *sim.Env
-	fab     netsim.Fabric
+	fab     *netsim.Net
 	p       Params
 	filter  msg.Filter // injector view for DupMessages interop; may be nil
 	rng     uint64
@@ -187,7 +187,7 @@ func (t *Transport) SetTestHooks(h TestHooks) { t.hooks = h }
 // New returns a transport over the fabric. Handlers are registered per
 // receiving node with Handle; nodes without one still ack (the common
 // case for pure bulk transfers like checkpoint chunks).
-func New(env *sim.Env, fab netsim.Fabric, p Params) *Transport {
+func New(env *sim.Env, fab *netsim.Net, p Params) *Transport {
 	return &Transport{
 		env:     env,
 		fab:     fab,

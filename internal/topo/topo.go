@@ -1,55 +1,31 @@
-// Package topo models a multi-tier datacenter topology — node → NIC →
-// top-of-rack switch → spine — compiled into a link graph over the DES
-// core. Where internal/netsim charges only the sender's egress NIC, a
-// topo.Fabric makes every message occupy every link on its path: each hop
-// is store-and-forward with a FIFO queue per link, so shared links (a
-// rack's spine uplink, a receiver's downlink) resolve contention
-// deterministically, in offer order.
+// Package topo describes multi-tier datacenter topology shapes — node →
+// NIC → top-of-rack switch → spine — and compiles them into tree fabrics
+// (netsim.NewTree). A Spec is a pure shape: racks of nodes under
+// top-of-rack switches joined by an optionally oversubscribed spine. Host
+// links carry the fabric's nominal bandwidth; each ToR uplink carries
+// NodesPerRack×host/Oversub, so a 4:1 oversubscribed spine makes
+// cross-rack borrowing measurably more expensive than rack-local
+// borrowing, which is what the locality-aware placement layers key on.
 //
-// Two topology kinds are supported:
-//
-//   - Flat: one implicit full-bisection switch. The path of every message
-//     is exactly one link — the sender's egress NIC — so a flat fabric is
-//     byte-identical to netsim.Net (same delivery times, same stats, same
-//     trace spans). Experiments can therefore switch to the topology code
-//     path without perturbing a single figure.
-//   - Tree: racks of nodes under top-of-rack switches joined by a spine.
-//     Host links carry the fabric's nominal bandwidth; each ToR uplink
-//     carries NodesPerRack×host/Oversub — a 4:1 oversubscribed spine makes
-//     cross-rack borrowing measurably more expensive than rack-local
-//     borrowing, which is what the locality-aware placement layers key on.
-//
-// Receiver-side (ingress) serialization exists only on the tree path: N
-// senders converging on one receiver queue on its downlink. The flat path
-// deliberately keeps netsim's egress-only model so legacy figures stay
-// byte-identical.
-//
-// Beyond the send interface (netsim.Fabric), the package exposes a
-// distance/congestion oracle: Spec.Distance/PathLatency/PathGbps are pure
-// functions of the topology shape usable by placement layers without a
-// live fabric, and Fabric.LinkStats reports per-link occupancy for
-// utilization tables and tests.
+// Besides Build, a Spec is a distance oracle: Rack and Distance are pure
+// functions of the shape, usable by placement layers without a live
+// fabric. The absence of a spec (nil) means the single-switch flat fabric
+// netsim.New builds.
 package topo
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Spec describes a topology shape independent of link speeds: the same
 // spec can be compiled against any host-link bandwidth/latency (taken
 // from cluster.Params at Build time).
 type Spec struct {
-	// Flat selects the single-switch equivalence topology; the tree
-	// fields are ignored.
-	Flat bool
-
 	// Racks and NodesPerRack shape the tree: node ids are assigned
 	// rack-major, so node i lives in rack i/NodesPerRack.
 	Racks        int
@@ -63,10 +39,6 @@ type Spec struct {
 	SpineLat sim.Time
 }
 
-// FlatSpec returns the single-switch topology: byte-identical to
-// netsim.Net when compiled.
-func FlatSpec() *Spec { return &Spec{Flat: true} }
-
 // TreeSpec returns a two-tier tree of racks×nodesPerRack nodes under an
 // oversub:1 oversubscribed spine.
 func TreeSpec(racks, nodesPerRack int, oversub float64) *Spec {
@@ -76,9 +48,6 @@ func TreeSpec(racks, nodesPerRack int, oversub float64) *Spec {
 }
 
 func (s *Spec) validate() {
-	if s.Flat {
-		return
-	}
 	if s.Racks <= 0 || s.NodesPerRack <= 0 {
 		panic(fmt.Sprintf("topo: tree needs racks and nodes per rack, got %d×%d", s.Racks, s.NodesPerRack))
 	}
@@ -87,16 +56,13 @@ func (s *Spec) validate() {
 	}
 }
 
-// ParseSpec parses a CLI topology argument: "" (nil spec — the legacy
-// flat netsim fabric), "flat" (single-switch topo path), or
-// "tree:RxN@O" for R racks of N nodes under an O:1 oversubscribed spine
-// (e.g. "tree:2x4@4").
+// ParseSpec parses a CLI topology argument: "" (nil spec — the
+// single-switch flat fabric) or "tree:RxN@O" for R racks of N nodes under
+// an O:1 oversubscribed spine (e.g. "tree:2x4@4").
 func ParseSpec(s string) (*Spec, error) {
 	switch {
 	case s == "":
 		return nil, nil
-	case s == "flat":
-		return FlatSpec(), nil
 	case strings.HasPrefix(s, "tree:"):
 		body := strings.TrimPrefix(s, "tree:")
 		shape, over, _ := strings.Cut(body, "@")
@@ -116,7 +82,7 @@ func ParseSpec(s string) (*Spec, error) {
 		}
 		return TreeSpec(racks, nodes, oversub), nil
 	default:
-		return nil, fmt.Errorf("topo: unknown topology %q (want flat or tree:RxN@O)", s)
+		return nil, fmt.Errorf("topo: unknown topology %q (want empty for the single-switch fabric, or tree:RxN@O)", s)
 	}
 }
 
@@ -125,25 +91,16 @@ func (s *Spec) String() string {
 	if s == nil {
 		return ""
 	}
-	if s.Flat {
-		return "flat"
-	}
 	return fmt.Sprintf("tree:%dx%d@%g", s.Racks, s.NodesPerRack, s.Oversub)
 }
 
-// Nodes returns the number of addressable nodes (0 = unbounded, flat).
+// Nodes returns the number of addressable nodes.
 func (s *Spec) Nodes() int {
-	if s.Flat {
-		return 0
-	}
 	return s.Racks * s.NodesPerRack
 }
 
 // Rack returns the rack hosting a node.
 func (s *Spec) Rack(node int) int {
-	if s.Flat {
-		return 0
-	}
 	if node < 0 || node >= s.Nodes() {
 		panic(fmt.Sprintf("topo: node %d outside the %d×%d tree", node, s.Racks, s.NodesPerRack))
 	}
@@ -152,16 +109,12 @@ func (s *Spec) Rack(node int) int {
 
 // Distance is the topology-distance oracle placement layers consume: the
 // number of links a message from a to b traverses. 0 for the same node,
-// 1 on a flat fabric (the egress NIC), 2 within a rack (up + down), 4
-// across the spine (up, ToR uplink, ToR downlink, down). Pure — no
-// fabric needed — and symmetric. Anything ≤ 2 shares a leaf switch,
+// 2 within a rack (up + down), 4 across the spine (up, ToR uplink, ToR
+// downlink, down). Pure — no fabric needed — and symmetric. Anything ≤ 2 shares a leaf switch,
 // which is the "rack-local" threshold the fleet's gang accounting uses.
 func (s *Spec) Distance(a, b int) int {
 	if a == b {
 		return 0
-	}
-	if s.Flat {
-		return 1
 	}
 	if s.Rack(a) == s.Rack(b) {
 		return 2
@@ -169,348 +122,15 @@ func (s *Spec) Distance(a, b int) int {
 	return 4
 }
 
-// link is one directed edge of the compiled graph: a FIFO
-// store-and-forward queue with fixed bandwidth and propagation latency.
-type link struct {
-	name     string
-	node     int     // node charged for trace spans (an endpoint of the link)
-	bps      float64 // bytes per second
-	lat      sim.Time
-	nextFree sim.Time
-	msgs     int64
-	bytes    int64
-	busy     sim.Time // cumulative serialization occupancy
-	span     string   // interned trace span name
-}
-
-// LinkStat is one link's occupancy record, for utilization tables.
-type LinkStat struct {
-	Name  string
-	Gbps  float64
-	Msgs  int64
-	Bytes int64
-	Busy  sim.Time // total time the link spent serializing
-}
-
-// Utilization returns the link's busy fraction of the given interval.
-func (l LinkStat) Utilization(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return l.Busy.Seconds() / elapsed.Seconds()
-}
-
-// Fabric is a topology-aware message fabric satisfying netsim.Fabric.
-// Construct with Spec.Build.
-type Fabric struct {
-	env     *sim.Env
-	name    string
-	spec    Spec
-	hostLat sim.Time
-	hostBps float64
-
-	// Tree links, indexed by node (up/down) and rack (torUp/torDown).
-	up, down       []*link
-	torUp, torDown []*link
-	// Flat egress links, created lazily per endpoint like netsim's NICs.
-	flat map[int]*link
-
-	links  []*link // every link, construction order (LinkStats order)
-	eps    map[int]*endpoint
-	stats  netsim.Stats
-	filter netsim.Filter
-	hooks  netsim.TestHooks
-	tr     *trace.Tracer
-}
-
-// SetTestHooks installs (or, with the zero value, clears) the fabric's
-// bug-reintroduction hooks — see netsim.TestHooks.
-func (f *Fabric) SetTestHooks(h netsim.TestHooks) { f.hooks = h }
-
-var _ netsim.Fabric = (*Fabric)(nil)
-
-// endpoint tracks per-sender counters, mirroring netsim's NIC records.
-type endpoint struct {
-	sent  int64
-	bytes int64
-}
-
-// Build compiles the spec into a live fabric over the environment. Host
-// (node↔switch) links carry hostGbps/hostLat — the same parameters
-// netsim.New would take — so a cluster can compile its Params against
-// any topology.
-func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Time) *Fabric {
-	if hostGbps <= 0 {
-		panic(fmt.Sprintf("topo: bandwidth %v Gbps must be positive", hostGbps))
-	}
-	if hostLat < 0 {
-		panic(fmt.Sprintf("topo: latency %v must be non-negative", hostLat))
-	}
+// Build compiles the spec into a live tree fabric over the environment.
+// Host (node↔switch) links carry hostGbps/hostLat — the same parameters
+// netsim.New would take — so a cluster can compile its Params against any
+// topology. A zero SpineLat takes the host-link latency.
+func (s *Spec) Build(env *sim.Env, name string, hostGbps float64, hostLat sim.Time) *netsim.Net {
 	s.validate()
-	f := &Fabric{
-		env:     env,
-		name:    name,
-		spec:    *s,
-		hostLat: hostLat,
-		hostBps: hostGbps * 1e9 / 8,
-		eps:     make(map[int]*endpoint),
-		tr:      trace.FromEnv(env),
-	}
-	if s.Flat {
-		f.flat = make(map[int]*link)
-		return f
-	}
 	spineLat := s.SpineLat
 	if spineLat == 0 {
 		spineLat = hostLat
 	}
-	uplinkBps := float64(s.NodesPerRack) * f.hostBps / s.Oversub
-	newLink := func(name string, node int, bps float64, lat sim.Time) *link {
-		l := &link{name: name, node: node, bps: bps, lat: lat, span: f.tr.Key("link", name)}
-		f.links = append(f.links, l)
-		return l
-	}
-	for n := 0; n < s.Nodes(); n++ {
-		r := s.Rack(n)
-		f.up = append(f.up, newLink(fmt.Sprintf("n%d-tor%d", n, r), n, f.hostBps, hostLat))
-		f.down = append(f.down, newLink(fmt.Sprintf("tor%d-n%d", r, n), n, f.hostBps, hostLat))
-	}
-	for r := 0; r < s.Racks; r++ {
-		f.torUp = append(f.torUp, newLink(fmt.Sprintf("tor%d-spine", r), r*s.NodesPerRack, uplinkBps, spineLat))
-		f.torDown = append(f.torDown, newLink(fmt.Sprintf("spine-tor%d", r), r*s.NodesPerRack, uplinkBps, spineLat))
-	}
-	return f
-}
-
-// Name returns the fabric's diagnostic name.
-func (f *Fabric) Name() string { return f.name }
-
-// Spec returns the topology shape the fabric was compiled from.
-func (f *Fabric) Spec() *Spec { s := f.spec; return &s }
-
-// Latency returns the minimum one-way path latency: the host-link
-// latency on a flat fabric (netsim equivalence), twice it within a rack.
-// Protocol cost models use it as their base RTT estimate.
-func (f *Fabric) Latency() sim.Time {
-	if f.spec.Flat {
-		return f.hostLat
-	}
-	return 2 * f.hostLat
-}
-
-// TxTime returns the serialization time for size bytes at a host link.
-func (f *Fabric) TxTime(size int) sim.Time {
-	if size < 0 {
-		panic("topo: negative message size")
-	}
-	return sim.FromSeconds(float64(size) / f.hostBps)
-}
-
-// SetFilter installs (or, with nil, removes) the fabric's fault filter.
-func (f *Fabric) SetFilter(flt netsim.Filter) { f.filter = flt }
-
-// Filter returns the installed fault filter, or nil.
-func (f *Fabric) Filter() netsim.Filter { return f.filter }
-
-// Distance returns the number of links on the (from, to) path.
-func (f *Fabric) Distance(from, to int) int { return f.spec.Distance(from, to) }
-
-// PathLatency returns the summed propagation latency of every link on
-// the (from, to) path — the realized one-way latency of an uncontended
-// zero-byte message. Symmetric and additive along the path.
-func (f *Fabric) PathLatency(from, to int) sim.Time {
-	var total sim.Time
-	for _, l := range f.route(from, to) {
-		total += l.lat
-	}
-	return total
-}
-
-// PathTime returns the uncontended one-way delivery time for size bytes
-// from one endpoint to another: each link on the route charged at its
-// own bandwidth (so an oversubscribed uplink costs what it actually
-// costs) plus its latency, store-and-forward. Queueing can only add to
-// it — protocol timeout models treat it as the floor.
-func (f *Fabric) PathTime(from, to int, size int) sim.Time {
-	if size < 0 {
-		panic("topo: negative message size")
-	}
-	var t sim.Time
-	for _, l := range f.route(from, to) {
-		t += sim.FromSeconds(float64(size)/l.bps) + l.lat
-	}
-	return t
-}
-
-// PathGbps returns the bottleneck bandwidth of the (from, to) path in
-// gigabits per second: the host rate within a rack, the oversubscribed
-// uplink rate across the spine.
-func (f *Fabric) PathGbps(from, to int) float64 {
-	min := 0.0
-	for _, l := range f.route(from, to) {
-		if min == 0 || l.bps < min {
-			min = l.bps
-		}
-	}
-	return min * 8 / 1e9
-}
-
-// route returns the links a (from, to) message occupies, in traversal
-// order. Flat fabrics use exactly the sender's egress NIC (netsim
-// equivalence); trees hairpin same-rack traffic at the ToR and cross the
-// spine otherwise. Same-node tree messages still hairpin — callers that
-// want free local delivery short-circuit above the fabric, as msg does.
-func (f *Fabric) route(from, to int) []*link {
-	if f.spec.Flat {
-		return []*link{f.flatLink(from)}
-	}
-	rf, rt := f.spec.Rack(from), f.spec.Rack(to)
-	if rf == rt {
-		return []*link{f.up[from], f.down[to]}
-	}
-	return []*link{f.up[from], f.torUp[rf], f.torDown[rt], f.down[to]}
-}
-
-// flatLink lazily creates the per-endpoint egress link of the flat
-// topology, mirroring netsim's NIC map (any integer id, including
-// external hosts, is addressable).
-func (f *Fabric) flatLink(id int) *link {
-	l, ok := f.flat[id]
-	if !ok {
-		// The span name matches netsim.Net's NIC occupancy span so a
-		// traced flat-topology run exports byte-identical events.
-		l = &link{name: fmt.Sprintf("n%d-egress", id), node: id,
-			bps: f.hostBps, lat: f.hostLat, span: f.tr.Key("nic", f.name)}
-		f.flat[id] = l
-		f.links = append(f.links, l)
-	}
-	return l
-}
-
-// Send transmits size bytes from one endpoint to another and invokes
-// deliver at the receiver once the message arrives; deliver may be nil
-// for fire-and-forget accounting. Send returns the delivery time.
-func (f *Fabric) Send(from, to int, size int, deliver func()) sim.Time {
-	return f.SendCtx(0, from, to, size, deliver)
-}
-
-// SendCtx is Send with a causal tracing parent: when traced, every
-// link's occupancy interval is recorded as a network span under the
-// given parent — one span per hop, named after the link.
-//
-// Contention semantics: the message reaches link i at time t; it starts
-// serializing at max(t, link.nextFree) — FIFO behind everything the link
-// already accepted — occupies the link for size/bandwidth, then
-// propagates for the link's latency toward the next hop
-// (store-and-forward). The fault filter, as in netsim, rules once per
-// message after the path has been charged: the sender cannot know the
-// fabric lost its frame.
-func (f *Fabric) SendCtx(span int64, from, to int, size int, deliver func()) sim.Time {
-	arrive, _ := f.send(span, from, to, size, deliver)
-	return arrive
-}
-
-// send is the SendCtx body, additionally reporting whether the message
-// survived the fault filter. Dropped messages never schedule deliver.
-func (f *Fabric) send(span int64, from, to int, size int, deliver func()) (sim.Time, bool) {
-	t := f.env.Now()
-	for _, l := range f.route(from, to) {
-		start := l.nextFree
-		if start < t {
-			start = t
-		}
-		done := start + sim.FromSeconds(float64(size)/l.bps)
-		l.nextFree = done
-		l.msgs++
-		l.bytes += int64(size)
-		l.busy += done - start
-		if f.tr != nil {
-			f.tr.Complete(span, trace.CatNet, l.node, l.span, start, done)
-		}
-		t = done + l.lat
-	}
-	ep := f.ep(from)
-	ep.sent++
-	ep.bytes += int64(size)
-	f.stats.Messages++
-	f.stats.Bytes += int64(size)
-	arrive := t
-	if f.filter != nil {
-		o := f.filter.Outcome(from, to, size)
-		if o.Drop {
-			f.stats.Dropped++
-			return arrive, false
-		}
-		if o.Delay > 0 {
-			f.stats.Delayed++
-			arrive += o.Delay
-		}
-	}
-	if deliver != nil {
-		f.env.DeferAt(arrive, deliver)
-	}
-	return arrive, true
-}
-
-// SendAndWait transmits like Send but blocks the calling process until
-// the message resolves, reporting whether it was delivered. A fault-filter
-// drop still wakes the sender at the would-be arrival time — the path was
-// charged and the frame is simply gone — so a blocking send can never
-// wedge a proc for the rest of the run.
-func (f *Fabric) SendAndWait(p *sim.Proc, from, to int, size int) bool {
-	ev := f.env.NewEvent()
-	arrive, delivered := f.send(0, from, to, size, ev.Fire)
-	if !delivered && !f.hooks.WedgeOnDrop {
-		f.env.DeferAt(arrive, ev.Fire)
-	}
-	p.Wait(ev)
-	return delivered
-}
-
-// Stats returns a copy of the fabric-wide traffic counters.
-func (f *Fabric) Stats() netsim.Stats { return f.stats }
-
-// Endpoints returns the ids of every endpoint that has sent, ascending.
-func (f *Fabric) Endpoints() []int {
-	ids := make([]int, 0, len(f.eps))
-	for id := range f.eps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// EndpointSent returns the messages and bytes sent by an endpoint.
-// A pure read: an id that never sent reports zeros without inserting an
-// endpoint record, so probing cannot grow Endpoints().
-func (f *Fabric) EndpointSent(id int) (msgs, bytes int64) {
-	if f.hooks.PhantomEndpoints {
-		e := f.ep(id)
-		return e.sent, e.bytes
-	}
-	if e, ok := f.eps[id]; ok {
-		return e.sent, e.bytes
-	}
-	return 0, 0
-}
-
-func (f *Fabric) ep(id int) *endpoint {
-	e, ok := f.eps[id]
-	if !ok {
-		e = &endpoint{}
-		f.eps[id] = e
-	}
-	return e
-}
-
-// LinkStats returns every link's occupancy record in construction order
-// (host links node-major, then ToR uplinks/downlinks rack-major; flat
-// egress links in first-send order, which the deterministic DES keeps
-// stable across same-seed runs).
-func (f *Fabric) LinkStats() []LinkStat {
-	out := make([]LinkStat, len(f.links))
-	for i, l := range f.links {
-		out[i] = LinkStat{Name: l.name, Gbps: l.bps * 8 / 1e9, Msgs: l.msgs, Bytes: l.bytes, Busy: l.busy}
-	}
-	return out
+	return netsim.NewTree(env, name, hostLat, hostGbps, s.Racks, s.NodesPerRack, s.Oversub, spineLat)
 }

@@ -15,7 +15,7 @@ func TestParseSpec(t *testing.T) {
 		err  bool
 	}{
 		{"", "", false},
-		{"flat", "flat", false},
+		{"flat", "", true}, // the single-switch fabric is the empty spec
 		{"tree:2x4@4", "tree:2x4@4", false},
 		{"tree:3x2", "tree:3x2@1", false},
 		{"tree:2x4@1.5", "tree:2x4@1.5", false},
@@ -42,14 +42,10 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestDistance pins the tree oracle. The single-switch fabric has no
+// spec and placement layers run it with no distance oracle at all;
+// sched.TestTopoNilDistEquivalence covers that case.
 func TestDistance(t *testing.T) {
-	flat := FlatSpec()
-	if d := flat.Distance(3, 3); d != 0 {
-		t.Errorf("flat same-node distance = %d", d)
-	}
-	if d := flat.Distance(0, 7); d != 1 {
-		t.Errorf("flat cross-node distance = %d", d)
-	}
 	tree := TreeSpec(2, 4, 4) // nodes 0-3 rack 0, 4-7 rack 1
 	for _, tc := range []struct{ a, b, want int }{
 		{0, 0, 0}, {0, 3, 2}, {4, 7, 2}, {0, 4, 4}, {3, 7, 4},
@@ -88,7 +84,7 @@ func TestPathLatencyQuick(t *testing.T) {
 		switch spec.Distance(x, y) {
 		case 0, 2:
 			// Same-node tree messages still hairpin at the ToR (see
-			// Fabric.route), so distance 0 prices like distance 2 here.
+			// netsim.Net.route), so distance 0 prices like distance 2 here.
 			want = 2 * hostLat
 		case 4:
 			want = 2*hostLat + 2*spineLat
@@ -141,7 +137,7 @@ func TestLinkStats(t *testing.T) {
 	f := TreeSpec(2, 2, 4).Build(env, "t", 56, 1500*sim.Nanosecond)
 	f.Send(0, 2, 4096, func() {})
 	env.Run()
-	byName := map[string]LinkStat{}
+	byName := map[string]netsim.LinkStat{}
 	for _, l := range f.LinkStats() {
 		byName[l.Name] = l
 	}
@@ -234,8 +230,9 @@ func TestSpecValidation(t *testing.T) {
 		func() { TreeSpec(0, 2, 1) },
 		func() { TreeSpec(2, 0, 1) },
 		func() { TreeSpec(2, 2, 0.5) },
-		func() { FlatSpec().Build(sim.NewEnv(), "t", 0, 0) },
-		func() { FlatSpec().Build(sim.NewEnv(), "t", 1, -1) },
+		func() { TreeSpec(2, 2, 1).Build(sim.NewEnv(), "t", 0, 0) },
+		func() { TreeSpec(2, 2, 1).Build(sim.NewEnv(), "t", 1, -1) },
+		func() { (&Spec{Racks: 2, NodesPerRack: 2}).Build(sim.NewEnv(), "t", 1, 0) },
 		func() { TreeSpec(2, 2, 1).Rack(4) },
 	} {
 		func() {
@@ -252,7 +249,7 @@ func TestSpecValidation(t *testing.T) {
 // TestSameSeedDeterminism: two identical runs produce identical link
 // stats and delivery schedules.
 func TestSameSeedDeterminism(t *testing.T) {
-	run := func() ([]LinkStat, []sim.Time) {
+	run := func() ([]netsim.LinkStat, []sim.Time) {
 		env := sim.NewEnv()
 		f := TreeSpec(2, 2, 4).Build(env, "t", 56, 1500*sim.Nanosecond)
 		var arrivals []sim.Time
