@@ -1,14 +1,16 @@
 # Development targets for the FragVisor reproduction. `make check` is the
 # pre-commit gate: formatting, vet, build, the full test suite under the
-# race detector, and a one-iteration benchmark smoke pass.
+# race detector, a one-iteration benchmark smoke pass, vet and tests of
+# the perfbench/ benchmark module, and the determinism smoke gates.
+# Performance itself is measured by `bash perfbench/run.sh` (see
+# BENCHMARK.json and "Performance tracking" in the README).
 
 GO ?= go
 
-.PHONY: check check-race fmt vet build test race bench-smoke trace-smoke \
-	bench-json perf-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke \
-	chaos-smoke
+.PHONY: check check-race fmt vet build test race bench-smoke bench-module \
+	trace-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
 
-check: fmt vet build race bench-smoke perf-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
+check: fmt vet build race bench-smoke bench-module sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
 	@echo "check: all gates passed"
 
 fmt:
@@ -36,19 +38,11 @@ check-race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Full perf snapshot: microbenchmarks at BENCHTIME each, the figure
-# suite, a >10^6-event fleet soak with a steady-state heap assertion, and
-# a parallel-sweep scaling benchmark. Regenerates BENCH_pr10.json; see
-# "Performance tracking" in the README.
-BENCHTIME ?= 1s
-BENCHOUT ?= BENCH_pr10.json
-bench-json:
-	$(GO) run ./cmd/fragperf -benchtime $(BENCHTIME) -out $(BENCHOUT)
-
-# One-pass fragperf smoke with a shrunken soak: the CI perf gate. Still
-# fails if the soak heap is not steady.
-perf-smoke:
-	$(GO) run ./cmd/fragperf -quick -out /tmp/fragperf-smoke.json
+# perfbench/ is its own Go module (the repo benchmark), so the root
+# ./... never compiles it: vet and test it here.
+bench-module:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Runs one traced experiment end to end and validates the emitted Chrome
 # trace file; fragtrace exits non-zero if the critical-path categories do

@@ -89,7 +89,8 @@ func BenchmarkDSMFault(b *testing.B) {
 }
 
 // The remaining benchmarks isolate the DES core's primitive costs; the
-// same workloads back cmd/fragperf's JSON snapshot (make bench-json).
+// repo benchmark's sim.* per-layer units (perfbench/units.go) time the
+// same bodies.
 
 // BenchmarkEventDispatch measures one heap push + pop + callback per op
 // via a single self-rescheduling deferred event.

@@ -100,8 +100,11 @@ func fleetPolicy(workload string) fleet.ReclaimPolicy {
 // The progress poller exists because the fleet's long-running procs
 // (the probe loop) rarely complete: it marks progress whenever the
 // probe transport's counters move, which a healthy heartbeat does every
-// round against node 0 no matter which other nodes are down — so only
-// a genuinely wedged control plane stalls the watchdog.
+// round against node 0 no matter which other nodes are down. Node 0
+// keeps quorum on any split that leaves it at least half the live nodes
+// (fault.NodeUp breaks an exact half split toward the lowest live
+// node), so only a genuinely wedged control plane, or an outage where
+// no node holds quorum, stalls the watchdog.
 func runFleet(ep Episode, hooks Hooks) []Violation {
 	const gig = int64(1) << 30
 	env := sim.NewEnv()

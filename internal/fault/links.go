@@ -152,25 +152,33 @@ func (i *Injector) Reachable(a, b int) bool {
 // itself plus every live peer in [0, nodes) it can exchange messages
 // with — must be a strict majority of the live nodes, the node's own
 // vote included (a two-of-three cluster that loses one node to a link
-// cut keeps quorum; the isolated node, alone, does not). A crashed node
-// is down; a fully partitioned or link-cut node is down even though its
-// host never crashed — exactly what a quorum of heartbeat peers would
-// conclude.
+// cut keeps quorum; the isolated node, alone, does not). On an exact
+// half split the side holding the lowest-numbered live node keeps
+// quorum: every node computes the same answer, so there is no split
+// brain, and a 2–2 cut of a 4-node tree leaves the controller's side
+// up instead of declaring every node down. A crashed node is down; a
+// fully partitioned or link-cut node is down even though its host never
+// crashed — exactly what a quorum of heartbeat peers would conclude.
 func (i *Injector) NodeUp(node, nodes int) bool {
 	if i.crashed[node] {
 		return false
 	}
-	live, reach := 1, 1 // the node itself
+	live, reach := 1, 1              // the node itself
+	lowest, withLowest := node, true // lowest live node; on node's side?
 	for p := 0; p < nodes; p++ {
 		if p == node || i.crashed[p] {
 			continue
 		}
 		live++
-		if i.Reachable(node, p) {
+		r := i.Reachable(node, p)
+		if r {
 			reach++
 		}
+		if p < lowest {
+			lowest, withLowest = p, r
+		}
 	}
-	return reach*2 > live
+	return reach*2 > live || reach*2 == live && withLowest
 }
 
 // Up is the nil-tolerant form of NodeUp: with no injector every node is

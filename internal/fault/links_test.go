@@ -172,6 +172,48 @@ func TestNodeUpQuorumView(t *testing.T) {
 	}
 }
 
+// TestNodeUpHalfSplitTieBreak: an exact half split of the live nodes is
+// broken toward the side holding the lowest-numbered live node, so a
+// 2–2 cut of the 4-node tree keeps the controller's side up instead of
+// leaving no node with quorum. After a crash the tie goes to the lowest
+// *live* node, which is not node 0 when node 0 is the one that crashed.
+func TestNodeUpHalfSplitTieBreak(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes int
+		crash int // -1 = none
+		cuts  []string
+		want  []int
+	}{
+		{"tor1 cut", 4, -1, []string{"tor1"}, []int{0, 1}},
+		{"two host-link cuts", 4, -1, []string{"n1", "n3"}, []int{0, 2}},
+		{"node 2 crashed, n1 cut", 3, 2, []string{"n1"}, []int{0}},
+		{"node 0 crashed, n2 cut", 3, 0, []string{"n2"}, []int{1}},
+	}
+	for _, tc := range cases {
+		env := sim.NewEnv()
+		inj := New(treeCluster(env, tc.nodes))
+		var s Schedule
+		if tc.crash >= 0 {
+			s.Add(Event{At: sim.Millisecond, Kind: CrashNode, Node: tc.crash})
+		}
+		for _, l := range tc.cuts {
+			s.Add(Event{At: sim.Millisecond, Kind: CutLink, Link: l})
+		}
+		inj.Apply(s)
+		env.Run()
+		var up []int
+		for n := 0; n < tc.nodes; n++ {
+			if inj.NodeUp(n, tc.nodes) {
+				up = append(up, n)
+			}
+		}
+		if !reflect.DeepEqual(up, tc.want) {
+			t.Errorf("%s: up = %v, want %v", tc.name, up, tc.want)
+		}
+	}
+}
+
 // TestScheduleStringLinkEvents: link events render in the stable,
 // golden-comparable schedule format.
 func TestScheduleStringLinkEvents(t *testing.T) {
