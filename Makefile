@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check check-race fmt vet build test race bench-smoke bench-module \
+.PHONY: check check-race fmt vet build test test-times race bench-smoke bench-module \
 	trace-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
 
 check: fmt vet build race bench-smoke bench-module sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
@@ -27,6 +27,21 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 test wall-time report: runs the suite uncached and prints each
+# package's test time, slowest first, then the sum of package times and
+# the wall time of the whole run (packages run in parallel, so the wall
+# time is the smaller). A report, not a gate: it exits non-zero only when
+# a test fails, printing the full log.
+test-times:
+	@start=$$(date +%s); \
+	$(GO) test -count=1 ./... > /tmp/test-times.log 2>&1; st=$$?; \
+	end=$$(date +%s); \
+	awk '($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { sum += $$3; printf "%8.2fs  %s\n", $$3, $$2 | "sort -rn" } \
+		END { close("sort -rn"); printf "%8.2fs  sum of package times\n", sum }' /tmp/test-times.log; \
+	printf "%8ds  wall time of go test -count=1 ./...\n" $$((end - start)); \
+	if [ $$st -ne 0 ]; then cat /tmp/test-times.log; fi; \
+	exit $$st
 
 race:
 	$(GO) test -race ./...

@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/fragvisor"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -86,6 +89,40 @@ func BenchmarkDSMFault(b *testing.B) {
 		}
 	})
 	tb.Run()
+}
+
+// BenchmarkFleetSoakWorld runs one fleet-soak world to completion per
+// op: the repo benchmark's soak world (8 nodes × 8 CPUs × 32 GiB,
+// MinFrag, AutoReclaim, a 2 ms rebalance tick, two 30 s waves of 24 VMs)
+// at seed 1. Profile the fleet control plane with
+// `go test -run NONE -bench FleetSoak -cpuprofile cpu.out .`.
+func BenchmarkFleetSoakWorld(b *testing.B) {
+	const gig = int64(1) << 30
+	const vms, wave, waves = 24, 30 * sim.Second, 2
+	var events uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		f := fleet.New(env, fleet.Config{
+			Nodes: 8, CPUsPerNode: 8, MemPerNode: 32 * gig,
+			Policy: sched.MinFrag, AutoReclaim: true,
+			RebalanceEvery: 2 * sim.Millisecond,
+			Horizon:        waves * wave,
+		})
+		rng := rand.New(rand.NewSource(1))
+		for w := 0; w < waves; w++ {
+			burst := fleet.GenerateBurst(rng, vms, wave, 2*gig)
+			for j := range burst {
+				burst[j].ID += w * vms
+				burst[j].Arrival += sim.Time(w) * wave
+			}
+			f.Submit(burst)
+		}
+		env.Run()
+		f.Verify()
+		events = env.Scheduled()
+	}
+	b.ReportMetric(float64(events), "events")
 }
 
 // The remaining benchmarks isolate the DES core's primitive costs; the

@@ -237,6 +237,7 @@ func (f *Fleet) Bind(p *sim.Proc, vmID int, live *hypervisor.VM, ckptNode int) {
 		img:      checkpoint.Take(p, live, ckptNode),
 		nextPCPU: map[int]int{},
 	}
+	f.epoch++ // bound borrowers change reclaim decisions but log no event
 }
 
 // migrate executes one committed move on the live VM: n of its vCPUs

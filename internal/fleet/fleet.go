@@ -292,6 +292,13 @@ type Fleet struct {
 	stopped          bool
 	hbTimer, rbTimer *sim.Timer
 
+	// epoch advances on every change to the books the planner and the
+	// verifier read: each such change logs an event, and Bind is the one
+	// that does not. quietEpoch is the last epoch a rebalance pass left
+	// unchanged and verifiedEpoch the last one verify found clean; work
+	// starting from either epoch again cannot turn out differently.
+	epoch, quietEpoch, verifiedEpoch uint64
+
 	// OnMigrate, when set, runs for every committed vCPU move so an
 	// external live Aggregate VM can execute it (runs in a fleet process;
 	// see also Bind for the built-in integration).
@@ -327,6 +334,7 @@ func New(env *sim.Env, cfg Config) *Fleet {
 		workDone:   map[int]int64{},
 		lastAccrue: map[int]sim.Time{},
 		bound:      map[int]*binding{},
+		epoch:      1, // no pass has seen the initial books yet
 	}
 	for i := range f.freeCPU {
 		f.freeCPU[i] = cfg.CPUsPerNode
@@ -428,6 +436,7 @@ func (f *Fleet) Snapshot() Snapshot {
 }
 
 func (f *Fleet) log(kind string, vm, from, to, n, lease int) {
+	f.epoch++
 	f.events = append(f.events, Event{T: f.env.Now(), Kind: kind, VM: vm, From: from, To: to, N: n, Lease: lease})
 	if f.tr != nil {
 		node := to
@@ -642,12 +651,13 @@ func (f *Fleet) release(vmID int) {
 	}
 }
 
-// maintain is the control loop run after every capacity change: admit
-// waiting requests, retry deferred reclaims, re-inflate ballooned VMs
-// into whatever capacity is left, then consolidate. Admission beats
-// deflation on purpose — new VMs get first claim on freed capacity.
-// Deflation deliberately does NOT run inside Reclaim, so a lender's
-// just-reclaimed capacity is never instantly re-borrowed.
+// maintain is the control loop run after every departure and node
+// down/up: admit waiting requests, retry deferred reclaims (nothing else
+// retries them), re-inflate ballooned VMs into whatever capacity is
+// left, then consolidate. Admission beats deflation on purpose — new VMs
+// get first claim on freed capacity. Deflation deliberately does NOT run
+// inside Reclaim, so a lender's just-reclaimed capacity is never
+// instantly re-borrowed.
 func (f *Fleet) maintain() {
 	f.drainQueue()
 	work := f.retryReclaims()
@@ -743,7 +753,10 @@ func (f *Fleet) runLive(work []liveMove) {
 	})
 }
 
-// armRebalance schedules the periodic defragmentation tick.
+// armRebalance schedules the periodic defragmentation tick. The pass
+// reads only the books (no clock, no randomness), so a pass that changed
+// nothing changes nothing when run again on the same books: ticks skip
+// it until the epoch moves, and keep their timer cadence either way.
 func (f *Fleet) armRebalance() {
 	if f.cfg.RebalanceEvery <= 0 {
 		return
@@ -753,15 +766,20 @@ func (f *Fleet) armRebalance() {
 		if f.stopped {
 			return
 		}
-		work := f.consolidateAll()
-		if len(work) > 0 {
-			f.stats.Rebalances++
-			f.log("rebalance", -1, -1, -1, len(work), -1)
+		if start := f.epoch; start != f.quietEpoch {
+			work := f.consolidateAll()
+			if len(work) > 0 {
+				f.stats.Rebalances++
+				f.log("rebalance", -1, -1, -1, len(work), -1)
+			}
+			f.runLive(work)
+			f.drainQueue()
+			f.deflateAll()
+			f.verify()
+			if f.epoch == start {
+				f.quietEpoch = start
+			}
 		}
-		f.runLive(work)
-		f.drainQueue()
-		f.deflateAll()
-		f.verify()
 		f.rbTimer = f.reschedule(f.cfg.RebalanceEvery, tick)
 	}
 	f.rbTimer = f.env.After(f.cfg.RebalanceEvery, tick)
@@ -800,10 +818,16 @@ func homeOf(pl sched.Placement) int {
 // Verify checks every control-plane invariant and panics on the first
 // violation: per-node CPU/memory books balance against placements,
 // nothing exceeds capacity, balloon conservation holds, and the lease
-// ledger matches the fragments exactly (no double-booked lease). Tests
-// call it; internal mutations call it at every quiescent point. Use
-// VerifyReport (verify.go) for the same checks as typed data.
-func (f *Fleet) Verify() { f.verify() }
+// ledger matches the fragments exactly (no double-booked lease). It
+// always scans the full books, so it also catches state corrupted
+// behind the fleet's back; the internal quiescent-point check (verify)
+// skips books it already found clean. Use VerifyReport (verify.go) for
+// the same checks as typed data.
+func (f *Fleet) Verify() {
+	if vs := f.VerifyReport(); len(vs) > 0 {
+		panic(vs[0].Error())
+	}
+}
 
 // GenerateBurst synthesizes n VM arrivals over the window: sizes from the
 // paper's Azure-like distribution (via sched.GenerateBurst), memory at

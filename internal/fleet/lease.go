@@ -18,8 +18,8 @@ const (
 	// LeaseActive: the borrower is using the lender's capacity.
 	LeaseActive LeaseState = iota
 	// LeaseReclaiming: the lender asked for its capacity back but the
-	// fleet found no room to move the borrower yet; retried on every
-	// capacity change.
+	// fleet found no room to move the borrower yet; retried by the
+	// maintenance pass after every departure and node down/up.
 	LeaseReclaiming
 	// LeaseReleased: the capacity is back with the lender (consolidated
 	// away, borrower departed, or borrower evicted).

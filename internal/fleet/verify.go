@@ -3,7 +3,8 @@
 // instead of panicking, so the chaos engine can treat a broken book as
 // a first-class finding (attach it to an episode, shrink the schedule
 // that produced it, replay it). Verify keeps the old contract — panic
-// on the first violation — for tests and internal quiescent points.
+// on the first violation — for tests and callers outside the fleet;
+// the internal quiescent-point check, verify, memoises it per epoch.
 package fleet
 
 import (
@@ -151,13 +152,14 @@ func (f *Fleet) VerifyReport() []Violation {
 	return vs
 }
 
-// verify is the internal panic wrapper: every quiescent-point check in
-// the fleet goes through here, preserving the fail-fast contract while
-// VerifyReport carries the same checks as data.
+// verify is the internal quiescent-point check: Verify's fail-fast scan,
+// skipped when the books have not changed since the last clean one.
 func (f *Fleet) verify() {
-	if vs := f.VerifyReport(); len(vs) > 0 {
-		panic(vs[0].Error())
+	if f.epoch == f.verifiedEpoch {
+		return
 	}
+	f.Verify()
+	f.verifiedEpoch = f.epoch
 }
 
 // sortedVMs returns the placement table's VM ids in ascending order.
