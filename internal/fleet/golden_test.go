@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/events.golden")
@@ -52,9 +53,42 @@ func soakWorld(seed int64, reclaim ReclaimPolicy) []Event {
 	return f.Events()
 }
 
+// probeStormWorld is the message-probing heartbeat world: a 4-node
+// 2-rack tree, probes on the reliable transport from node 0, a drop
+// storm that makes probes go unreachable, then node 2's host links cut
+// and healed, under rebalancing, run to completion.
+func probeStormWorld() *Fleet {
+	env := sim.NewEnv()
+	spec := topo.TreeSpec(2, 2, 4)
+	params := cluster.DefaultParams()
+	params.Topo = spec
+	c := cluster.New(env, 4, params)
+	inj := fault.New(c)
+	cfg := ClusterConfig(c, sched.MinFrag)
+	cfg.AutoReclaim = true
+	cfg.Fault = inj
+	cfg.HeartbeatEvery = 500 * sim.Millisecond
+	cfg.Probe = c.Reliable
+	cfg.ProbeFrom = 0
+	cfg.Distance = spec.Distance
+	cfg.RebalanceEvery = 5 * sim.Second
+	cfg.Horizon = 90 * sim.Second
+	f := New(env, cfg)
+	f.Submit(GenerateBurst(rand.New(rand.NewSource(5)), 24, 40*sim.Second, 2*gig))
+	var sch fault.Schedule
+	sch.Add(fault.Event{At: 20 * sim.Second, Kind: fault.DropMessages, From: fault.Any, To: fault.Any, Count: 60})
+	sch.Add(fault.Event{At: 40 * sim.Second, Kind: fault.CutLink, Link: "n2"})
+	sch.Add(fault.Event{At: 60 * sim.Second, Kind: fault.HealLink, Link: "n2"})
+	inj.Apply(sch)
+	env.Run()
+	f.Verify()
+	return f
+}
+
 // goldenWorlds lists every pinned scenario: the soak world at seeds 1–3
 // under each reclaim policy, the root determinism test's 4-node world,
-// and a heartbeat world that crashes and heals a node under rebalancing.
+// a heartbeat world that crashes and heals a node under rebalancing,
+// and the probing heartbeat's storm-and-cut world.
 func goldenWorlds() []goldenWorld {
 	var ws []goldenWorld
 	for _, pol := range Policies() {
@@ -98,6 +132,9 @@ func goldenWorlds() []goldenWorld {
 		f.Verify()
 		return f.Events()
 	}})
+	ws = append(ws, goldenWorld{name: "probe-storm", run: func() []Event {
+		return probeStormWorld().Events()
+	}})
 	return ws
 }
 
@@ -111,11 +148,30 @@ func eventsDigest(name string, evs []Event) string {
 	return fmt.Sprintf("%s %d %s\n", name, len(evs), hex.EncodeToString(h.Sum(nil)))
 }
 
+// TestProbeStormWorldExercisesProbes keeps the probe-storm golden world
+// honest: its storm must make probes come back unreachable and its cut
+// must take a node down, or the world pins nothing of the probe path.
+func TestProbeStormWorldExercisesProbes(t *testing.T) {
+	f := probeStormWorld()
+	if st := f.Stats(); st.ProbeMisses == 0 || st.NodeFailures == 0 {
+		t.Fatalf("probe-storm world: %d probe misses, %d node failures; want both > 0", st.ProbeMisses, st.NodeFailures)
+	}
+	downs := 0
+	for _, ev := range f.Events() {
+		if ev.Kind == "node-down" {
+			downs++
+		}
+	}
+	if downs == 0 {
+		t.Fatal("probe-storm world logged no node-down")
+	}
+}
+
 // TestEventLogGolden pins every decision the control plane makes in the
 // golden worlds, byte for byte, against digests recorded before any
 // fleet performance work. A change that alters a decision — even one
 // that alters it the same way on every run — fails here. Run
-// `go test -run EventLogGolden -update ./internal/fleet` to accept an
+// `go test ./internal/fleet -run EventLogGolden -update` to accept an
 // intentional behaviour change.
 func TestEventLogGolden(t *testing.T) {
 	var got bytes.Buffer
