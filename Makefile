@@ -100,23 +100,19 @@ topo-smoke:
 	cmp /tmp/topo-seq.json /tmp/topo-par.json
 	@echo "topo-smoke: tree sweep deterministic under -parallel"
 
-# Reliable-transport / fault-domain gate. The netstorm experiment (drop
+# Reliable-transport / fault-domain gate: the netstorm sweep (drop
 # storms and a ToR-uplink cut against the data plane, a probe-visible
 # storm plus a host-link cut/heal against all three fleet reclaim
 # policies) must complete — the fault schedules once deadlocked blocking
-# senders — be byte-identical run-to-run and across sweep workers, and
-# actually exercise the typed-unreachable path (nonzero unreachable
-# probes in the fleet rows, recorded deaths in the cut rows).
+# senders — and be byte-identical across sweep workers. The seed-42
+# netstorm table itself, including its nonzero unreachable probes and
+# the ToR-cut deaths, is pinned by the fault_detect golden in the main
+# suite (fault_detect_golden_test.go).
 netstorm-smoke:
-	$(GO) run ./cmd/fragbench -fig netstorm -scale 0.02 > /tmp/netstorm-a.txt
-	$(GO) run ./cmd/fragbench -fig netstorm -scale 0.02 > /tmp/netstorm-b.txt
-	cmp /tmp/netstorm-a.txt /tmp/netstorm-b.txt
-	grep -q 'vm-tor-cut' /tmp/netstorm-a.txt
-	awk '$$1 == "fleet-storm" && $$10 == 0.000 { exit 1 }' /tmp/netstorm-a.txt
 	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json -parallel 1 > /tmp/netstorm-seq.json
 	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json > /tmp/netstorm-par.json
 	cmp /tmp/netstorm-seq.json /tmp/netstorm-par.json
-	@echo "netstorm-smoke: storm/cut recovery deterministic; unreachable path exercised"
+	@echo "netstorm-smoke: storm/cut recovery deterministic across sweep workers"
 
 # Chaos gate, two halves. Clean search: a bounded ~64-episode search
 # over seed code must come back with zero violations, byte-identical

@@ -98,7 +98,7 @@ func fleetPolicy(workload string) fleet.ReclaimPolicy {
 // fixed horizon.
 //
 // The progress poller exists because the fleet's long-running procs
-// (the probe loop) rarely complete: it marks progress whenever the
+// (its failure detector) rarely complete: it marks progress whenever the
 // probe transport's counters move, which a healthy heartbeat does every
 // round against node 0 no matter which other nodes are down. Node 0
 // keeps quorum on any split that leaves it at least half the live nodes

@@ -21,7 +21,15 @@
 //   - dsm treats it as the liveness view when re-routing ownership
 //     requests away from dead nodes;
 //   - hypervisor heartbeats detect crashed slices through the message
-//     losses it induces, and checkpoint restart skips dead slices.
+//     losses it induces, and checkpoint restart skips dead slices;
+//   - the fleet heartbeat judges nodes with its quorum reachability
+//     view (Up), optionally backed by reliable probe messages.
+//
+// Both heartbeats run the one failure detector, Detect: a sim proc that
+// probes nodes each round, declares a node down after MissThreshold
+// consecutive misses (or at once when the view holds it down), reports
+// it up again on its next reached probe, and ends on its Detector's
+// Stop or at an optional horizon.
 //
 // Everything the injector does is counted in a metrics.Counters whose
 // rendering is deterministic, so fault activity itself is part of the

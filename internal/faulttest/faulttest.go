@@ -31,9 +31,16 @@ import (
 	"repro/internal/workload"
 )
 
+// The failure detector pings every heartbeatInterval and counts a reply
+// missing after heartbeatTimeout as one miss.
+const (
+	heartbeatInterval = 2 * sim.Millisecond
+	heartbeatTimeout  = sim.Millisecond
+)
+
 // Scenario configures one end-to-end run under a fault schedule. The
 // zero value is filled in by defaults (4 nodes, 4 vCPUs, IS at 1% scale,
-// 64 pattern pages, checkpointing on, 2 ms heartbeats).
+// 64 pattern pages).
 type Scenario struct {
 	Nodes    int
 	VCPUs    int
@@ -69,12 +76,6 @@ type Scenario struct {
 	// vCPUs but re-homed memory keeps whatever stale bytes the origin
 	// held, so the pattern check is skipped if anything was declared dead.
 	Checkpoint bool
-
-	// HeartbeatInterval/HeartbeatTimeout arm the failure detector; an
-	// interval of 0 with HeartbeatOff leaves it disarmed.
-	HeartbeatInterval sim.Time
-	HeartbeatTimeout  sim.Time
-	HeartbeatOff      bool
 
 	// ExpectDeaths is how many heartbeat death declarations the driver
 	// waits for before stopping the detector. 0 derives it from the
@@ -113,12 +114,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.PatternPages == 0 {
 		s.PatternPages = 64
-	}
-	if s.HeartbeatInterval == 0 {
-		s.HeartbeatInterval = 2 * sim.Millisecond
-	}
-	if s.HeartbeatTimeout == 0 {
-		s.HeartbeatTimeout = sim.Millisecond
 	}
 	return s
 }
@@ -257,23 +252,21 @@ func Run(s Scenario) *Result {
 		start := p.Now()
 		recoveredAll := env.NewEvent()
 		recoveries := 0
-		if !s.HeartbeatOff {
-			vm.StartHeartbeat(s.HeartbeatInterval, s.HeartbeatTimeout, func(hp *sim.Proc, node int) {
-				env.MarkProgress() // a death declaration is forward motion
-				res.Detected = append(res.Detected, hp.Now()-start)
-				res.DeadAt = append(res.DeadAt, node)
-				vm.RestartOnSurvivors()
-				if img != nil {
-					res.Restores = append(res.Restores, checkpoint.Restore(hp, vm, img))
-				}
-				res.Recovered = append(res.Recovered, hp.Now()-start)
-				env.MarkProgress()
-				recoveries++
-				if recoveries == expectedDeaths {
-					recoveredAll.Fire()
-				}
-			})
-		}
+		hb := vm.StartHeartbeat(heartbeatInterval, heartbeatTimeout, func(hp *sim.Proc, node int) {
+			env.MarkProgress() // a death declaration is forward motion
+			res.Detected = append(res.Detected, hp.Now()-start)
+			res.DeadAt = append(res.DeadAt, node)
+			vm.RestartOnSurvivors()
+			if img != nil {
+				res.Restores = append(res.Restores, checkpoint.Restore(hp, vm, img))
+			}
+			res.Recovered = append(res.Recovered, hp.Now()-start)
+			env.MarkProgress()
+			recoveries++
+			if recoveries == expectedDeaths {
+				recoveredAll.Fire()
+			}
+		})
 
 		inj.Apply(s.Schedule.Shifted(start))
 
@@ -289,10 +282,10 @@ func Run(s Scenario) *Result {
 			done = append(done, wp.Done())
 		}
 		p.WaitAll(done...)
-		if expectedDeaths > 0 && !s.HeartbeatOff {
+		if expectedDeaths > 0 {
 			p.Wait(recoveredAll)
 		}
-		vm.StopHeartbeat()
+		hb.Stop()
 
 		// Verify the pattern from a surviving slice (the last one, so
 		// reads exercise the protocol rather than origin-local hits).

@@ -1,5 +1,6 @@
-// Node-failure handling: a heartbeat tick polls the fault injector's
-// liveness view; fragments lost with a dead node are re-placed on the
+// Node-failure handling: a heartbeat tick judges every node against the
+// fault injector's liveness view (and, optionally, message probes);
+// fragments lost with a dead node are re-placed on the
 // survivors, and VMs bound to a live Aggregate VM are restarted from
 // their checkpoint image on the new slices — restart, not eviction.
 package fleet
@@ -15,88 +16,41 @@ import (
 	"repro/internal/sim"
 )
 
-// probeBytes is the size of one heartbeat probe message, and
-// probeMissThreshold the consecutive unreachable probes that declare a
-// node down on message evidence alone (mirroring the hypervisor
-// heartbeat's miss threshold).
-const (
-	probeBytes         = 128
-	probeMissThreshold = 2
-)
+// probeBytes is the size of one heartbeat probe message.
+const probeBytes = 128
 
-// armHeartbeat starts failure detection against the fault injector: a
-// timer-driven view poll by default, or a probing process when a
-// reliable transport is configured.
+// armHeartbeat starts failure detection against the fault injector
+// (fault.Detect): each tick judges every node with the injector's
+// quorum reachability view (fault.Up) — a node is down when it crashed
+// or when a majority of its live peers cannot reach it, so partitions
+// and link cuts trigger the same restart/requeue recovery as crashes.
+// With Config.Probe set, a node the view holds up is also sent a
+// reliable probe, and fault.MissThreshold unreachable probes in a row
+// declare it down on message evidence alone; it rejoins once a probe
+// gets through again. Probes ride the same lossy fabric as everything
+// else, so a drop storm can (correctly) produce false positives that
+// heal on the next successful probe. Each change is handled as soon as
+// it is found, and the books are verified after every tick.
 func (f *Fleet) armHeartbeat() {
 	if f.cfg.Fault == nil || f.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	if f.cfg.Probe != nil {
-		f.env.Spawn("fleet-heartbeat", f.probeLoop)
-		return
+	nodes := make([]int, f.cfg.Nodes)
+	for n := range nodes {
+		nodes[n] = n
 	}
-	var tick func()
-	tick = func() {
-		if f.stopped {
-			return
+	probe := func(p *sim.Proc, n int) fault.Verdict {
+		if !fault.Up(f.cfg.Fault, n, f.cfg.Nodes) {
+			return fault.ViewDown
 		}
-		f.heartbeat()
-		f.hbTimer = f.reschedule(f.cfg.HeartbeatEvery, tick)
+		if f.cfg.Probe != nil && f.cfg.Probe.Send(p, f.cfg.ProbeFrom, n, probeBytes) != nil {
+			f.stats.ProbeMisses++
+			return fault.Missed
+		}
+		return fault.Reached
 	}
-	f.hbTimer = f.env.After(f.cfg.HeartbeatEvery, tick)
-}
-
-// heartbeat reconciles the fleet's node view with the injector's quorum
-// reachability view: a node is down when it crashed or when a majority
-// of its live peers cannot reach it — so partitions and link cuts
-// trigger the same restart/requeue recovery as crashes.
-func (f *Fleet) heartbeat() {
-	for n := 0; n < f.cfg.Nodes; n++ {
-		up := fault.Up(f.cfg.Fault, n, f.cfg.Nodes)
-		switch {
-		case !up && !f.down[n]:
-			f.handleNodeDown(n)
-		case up && f.down[n]:
-			f.handleNodeUp(n)
-		}
-	}
-	f.verify()
-}
-
-// probeLoop is the message-based heartbeat: each tick sends a reliable
-// probe to every node the quorum view considers up; a node whose probes
-// come back unreachable probeMissThreshold times in a row is declared
-// down on message evidence even before the view agrees, and a recovered
-// node rejoins once a probe gets through again. Probes ride the same
-// lossy fabric as everything else, so a drop storm can (correctly)
-// produce false positives that heal on the next successful probe.
-func (f *Fleet) probeLoop(p *sim.Proc) {
-	misses := make([]int, f.cfg.Nodes)
-	for {
-		p.Sleep(f.cfg.HeartbeatEvery)
-		if f.stopped || (f.cfg.Horizon > 0 && f.env.Now() > f.cfg.Horizon) {
-			return
-		}
-		for n := 0; n < f.cfg.Nodes; n++ {
-			up := fault.Up(f.cfg.Fault, n, f.cfg.Nodes)
-			if up {
-				if f.cfg.Probe.Send(p, f.cfg.ProbeFrom, n, probeBytes) != nil {
-					misses[n]++
-					f.stats.ProbeMisses++
-				} else {
-					misses[n] = 0
-				}
-			}
-			down := !up || misses[n] >= probeMissThreshold
-			switch {
-			case down && !f.down[n]:
-				f.handleNodeDown(n)
-			case !down && f.down[n]:
-				f.handleNodeUp(n)
-			}
-		}
-		f.verify()
-	}
+	f.hb = fault.Detect(f.env, "fleet-heartbeat", f.cfg.HeartbeatEvery, f.cfg.Horizon, nodes,
+		probe, f.handleNode, func(*sim.Proc) { f.verify() })
 }
 
 // handleNodeDown fail-stops a node in the fleet's books: every fragment
@@ -204,8 +158,13 @@ func (f *Fleet) requeue(vmID int) {
 	f.enqueue(r)
 }
 
-// handleNodeUp returns a healed node's capacity to the fleet.
-func (f *Fleet) handleNodeUp(node int) {
+// handleNode applies one detector verdict: a failed node goes through
+// handleNodeDown, and a healed node's capacity returns to the fleet.
+func (f *Fleet) handleNode(node int, up bool) {
+	if !up {
+		f.handleNodeDown(node)
+		return
+	}
 	f.down[node] = false
 	f.log("node-up", -1, -1, node, 0, -1)
 	f.maintain()

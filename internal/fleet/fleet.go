@@ -157,8 +157,9 @@ type Config struct {
 	// RebalanceEvery runs the consolidation pass periodically (0 = only
 	// on departures, exactly sched's behavior).
 	RebalanceEvery sim.Time
-	// HeartbeatEvery polls node liveness against Fault (0 = no failure
-	// detection).
+	// HeartbeatEvery is the failure detector's round interval: each
+	// round judges every node against Fault (0 = no failure detection).
+	// The detector stops at Horizon or on Stop.
 	HeartbeatEvery sim.Time
 	// Horizon stops periodic ticks from rescheduling past this time so
 	// the event queue can drain (0 = tick until Stop is called).
@@ -168,12 +169,12 @@ type Config struct {
 	// view (fault.Up), so a node cut off by a partition or a link cut is
 	// detected and recovered like a crashed one.
 	Fault *fault.Injector
-	// Probe, when set alongside Fault, upgrades the heartbeat to real
-	// probe messages on the reliable transport: each tick probes every
-	// node the view considers up, and probeMissThreshold consecutive
+	// Probe, when set alongside Fault, adds real probe messages on the
+	// reliable transport to the heartbeat: each round probes every node
+	// the view considers up, and fault.MissThreshold consecutive
 	// unreachable verdicts declare the node down on message evidence
-	// alone. Zero keeps the pure view-based heartbeat (and its timing)
-	// unchanged.
+	// alone. Nil keeps the pure view-based heartbeat, which sends no
+	// messages.
 	Probe *reliable.Transport
 	// ProbeFrom is the fabric endpoint the controller probes from —
 	// conventionally the node hosting the control plane (node 0). On a
@@ -289,8 +290,9 @@ type Fleet struct {
 
 	bound map[int]*binding
 
-	stopped          bool
-	hbTimer, rbTimer *sim.Timer
+	stopped bool
+	rbTimer *sim.Timer
+	hb      *fault.Detector
 
 	// epoch advances on every change to the books the planner and the
 	// verifier read: each such change logs an event, and Bind is the one
@@ -351,9 +353,7 @@ func (f *Fleet) Env() *sim.Env { return f.env }
 // Stop cancels the periodic ticks so the event queue can drain.
 func (f *Fleet) Stop() {
 	f.stopped = true
-	if f.hbTimer != nil {
-		f.hbTimer.Cancel()
-	}
+	f.hb.Stop()
 	if f.rbTimer != nil {
 		f.rbTimer.Cancel()
 	}
@@ -780,17 +780,12 @@ func (f *Fleet) armRebalance() {
 				f.quietEpoch = start
 			}
 		}
-		f.rbTimer = f.reschedule(f.cfg.RebalanceEvery, tick)
+		// Arm the next tick unless it would pass the horizon.
+		if !f.stopped && (f.cfg.Horizon <= 0 || f.env.Now()+f.cfg.RebalanceEvery <= f.cfg.Horizon) {
+			f.rbTimer = f.env.After(f.cfg.RebalanceEvery, tick)
+		}
 	}
 	f.rbTimer = f.env.After(f.cfg.RebalanceEvery, tick)
-}
-
-// reschedule arms the next periodic tick unless it would pass the horizon.
-func (f *Fleet) reschedule(every sim.Time, tick func()) *sim.Timer {
-	if f.stopped || (f.cfg.Horizon > 0 && f.env.Now()+every > f.cfg.Horizon) {
-		return nil
-	}
-	return f.env.After(every, tick)
 }
 
 // placementNodes returns the placement's node ids, sorted.

@@ -9,14 +9,10 @@ package hypervisor
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
-
-// hbMissThreshold is how many consecutive heartbeat timeouts declare a
-// slice dead. Two, so a single fault-injected drop or delay of a ping (or
-// its reply) is not mistaken for a crash.
-const hbMissThreshold = 2
 
 // Alive reports whether a slice node is still considered part of the VM.
 func (vm *VM) Alive(node int) bool { return !vm.dead[node] }
@@ -60,68 +56,60 @@ func (vm *VM) MarkDead(node int) {
 	vm.DSM.MarkDead(node)
 }
 
-// StartHeartbeat spawns the failure detector: the bootstrap slice pings
-// every companion slice each interval and declares a slice dead after
-// hbMissThreshold consecutive reply timeouts, invoking onFailure (which
-// may block — recovery runs in the detector's process). The detector loops
-// until StopHeartbeat, so a test that drives the event loop directly must
-// stop it or the simulation never drains.
+// StartHeartbeat spawns the failure detector (fault.Detect): the
+// bootstrap slice pings every live companion slice each interval and
+// declares a slice dead after fault.MissThreshold consecutive reply
+// timeouts, invoking onFailure (which may block — recovery runs in the
+// detector's process). The detector loops until the returned handle's
+// Stop, so a test that drives the event loop directly must stop it or the
+// simulation never drains.
 //
-// Detection is batched per tick: every live companion is pinged before any
-// newly-missing slice is declared and recovered. Recovery can block for a
-// long time (a checkpoint restore moves the whole image), and declaring
-// mid-loop would starve detection of the other slices lost to the same
-// event — a rack cut kills several at once, and a detector that recovers
-// the first before even probing the second may find the fault healed and
-// never declare it, deadlocking anything waiting on the full death count.
-func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.Proc, node int)) {
+// Detection is batched per round: every live companion is pinged before
+// any newly-missing slice is declared and recovered. Recovery can block
+// for a long time (a checkpoint restore moves the whole image), and
+// declaring mid-round would starve detection of the other slices lost to
+// the same event — a rack cut kills several at once, and a detector that
+// recovers the first before even probing the second may find the fault
+// healed and never declare it, deadlocking anything waiting on the full
+// death count.
+func (vm *VM) StartHeartbeat(interval, timeout sim.Time, onFailure func(p *sim.Proc, node int)) *fault.Detector {
 	if interval <= 0 || timeout <= 0 {
 		panic("hypervisor: heartbeat needs a positive interval and timeout")
 	}
-	vm.hbStop = false
 	svc := vcpuService(vm)
-	boot := vm.nodes[0]
-	vm.Env.Spawn("heartbeat", func(p *sim.Proc) {
-		misses := make(map[int]int)
-		for !vm.hbStop {
-			p.Sleep(interval)
-			if vm.hbStop {
-				return
-			}
-			var lost []int
-			for _, n := range vm.nodes[1:] {
-				if vm.dead[n] {
-					continue
-				}
-				if _, err := vm.Layer.CallTimeout(p, boot, n, svc, "ping", 64, nil, timeout); err != nil {
-					misses[n]++
-					vm.ctr.Inc("hb.miss", 1)
-					if misses[n] >= hbMissThreshold {
-						lost = append(lost, n)
-					}
-				} else {
-					misses[n] = 0
-				}
-			}
-			// Declare the whole batch before recovering any member: the
-			// survivors' view is settled first, so recovery (which may send
-			// to every alive slice) never targets a slice that is about to
-			// be declared dead.
-			for _, n := range lost {
-				vm.ctr.Inc("hb.declared_dead", 1)
-				vm.MarkDead(n)
-			}
-			for _, n := range lost {
-				if onFailure != nil {
-					onFailure(p, n)
-				}
+	var lost []int
+	probe := func(p *sim.Proc, n int) fault.Verdict {
+		if vm.dead[n] {
+			return fault.ViewDown
+		}
+		if _, err := vm.Layer.CallTimeout(p, vm.nodes[0], n, svc, "ping", 64, nil, timeout); err != nil {
+			vm.ctr.Inc("hb.miss", 1)
+			return fault.Missed
+		}
+		return fault.Reached
+	}
+	change := func(n int, up bool) {
+		if !up && !vm.dead[n] {
+			lost = append(lost, n)
+		}
+	}
+	// Declare the whole batch before recovering any member: the survivors'
+	// view is settled first, so recovery (which may send to every alive
+	// slice) never targets a slice that is about to be declared dead.
+	round := func(p *sim.Proc) {
+		for _, n := range lost {
+			vm.ctr.Inc("hb.declared_dead", 1)
+			vm.MarkDead(n)
+		}
+		for _, n := range lost {
+			if onFailure != nil {
+				onFailure(p, n)
 			}
 		}
-	})
+		lost = lost[:0]
+	}
+	return fault.Detect(vm.Env, "heartbeat", interval, 0, vm.nodes[1:], probe, change, round)
 }
-
-// StopHeartbeat stops the failure detector after its current tick.
-func (vm *VM) StopHeartbeat() { vm.hbStop = true }
 
 // RestartOnSurvivors re-pins every vCPU hosted by dead slices onto the
 // surviving nodes round-robin (administratively — the dead host cannot

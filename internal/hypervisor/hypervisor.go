@@ -149,7 +149,6 @@ type VM struct {
 	booted   bool
 	sliceSvc string
 	dead     map[int]bool // slices declared failed (see fault.go)
-	hbStop   bool
 	ctr      *metrics.Counters
 	tr       *trace.Tracer
 }

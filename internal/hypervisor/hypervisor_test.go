@@ -161,3 +161,37 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestHeartbeatStopThenRestart is the stop/start regression: stopping
+// the heartbeat and starting a new one within one interval must leave
+// exactly one detector running. With a VM-wide stop flag, the restart
+// cleared the flag before the old detector woke, so both kept pinging
+// and declaring.
+func TestHeartbeatStopThenRestart(t *testing.T) {
+	c := newCluster(3)
+	vm := New(FragVisorConfig(c, SpreadPlacement([]int{0, 1, 2}, 3), 1<<30))
+	const every = 2 * sim.Millisecond
+	heartbeats := -1
+	c.Env.Spawn("driver", func(p *sim.Proc) {
+		vm.Boot(p)
+		hb := vm.StartHeartbeat(every, sim.Millisecond, nil)
+		p.Sleep(every + every/2)
+		hb.Stop()
+		hb = vm.StartHeartbeat(every, sim.Millisecond, nil)
+		p.Sleep(3 * every)
+		heartbeats = 0
+		for _, name := range c.Env.LiveProcs() {
+			if name == "heartbeat" {
+				heartbeats++
+			}
+		}
+		hb.Stop()
+	})
+	c.Env.Run()
+	if heartbeats != 1 {
+		t.Fatalf("%d heartbeat procs live after stop and restart, want 1", heartbeats)
+	}
+	if live := c.Env.LiveProcs(); len(live) != 0 {
+		t.Fatalf("live procs after the final stop: %v", live)
+	}
+}

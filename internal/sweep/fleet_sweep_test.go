@@ -3,7 +3,7 @@ package sweep_test
 // Sweep-driven coverage of the fleet failure paths: the fleetchurn
 // runner crashes a seeded node mid-run and heals it later, so every seed
 // exercises handleNodeDown (fragment restart or whole-VM requeue) and
-// handleNodeUp (capacity handback on heal). The runner calls
+// handleNode (capacity handback on heal). The runner calls
 // fleet.Verify() — the capacity/lease invariant verifier — before
 // reporting, so any run that reaches a table passed verification at
 // quiescence; a violation would panic and surface as a per-point error.
@@ -31,7 +31,7 @@ func TestFleetChurnSweepExercisesFailurePaths(t *testing.T) {
 		}
 		for metric, min := range map[string]float64{
 			"node_failures": 1, // crash observed by the heartbeat
-			"node_ups":      1, // heal handled (handleNodeUp ran)
+			"node_ups":      1, // heal handled (handleNode ran)
 			"requeues":      1, // displaced VM took the requeue path
 		} {
 			if v := r.Values[metric]; v < min {
