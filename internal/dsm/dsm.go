@@ -219,8 +219,10 @@ type DSM struct {
 	dirtyPage mem.PageID
 	service   string
 	dirSvc    string // service + ".dir", interned off the fault hot path
+	ownSvc    string // service + ".own", likewise
 	dirProc   string // service + ".dir.", prefix for directory proc names
 	invProc   string // service + ".inv.", prefix for invalidation proc names
+	procNames map[mem.PageID]pageProcs
 
 	nextFault uint64
 	pending   map[uint64]*pendingFault
@@ -253,12 +255,14 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 		pending:    make(map[uint64]*pendingFault),
 		seen:       make(map[uint64]bool),
 		excluded:   make(map[int]bool),
+		procNames:  make(map[mem.PageID]pageProcs),
 		tr:         trace.FromEnv(env),
 	}
 	// Instance numbers are per messaging layer, so service (and span) names
 	// depend only on construction order within one simulation.
 	d.service = fmt.Sprintf("dsm%d", layer.Instance("dsm"))
 	d.dirSvc = d.service + ".dir"
+	d.ownSvc = d.service + ".own"
 	d.dirProc = d.service + ".dir."
 	d.invProc = d.service + ".inv."
 	for i, n := range nodes {
@@ -271,7 +275,7 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	}
 	layer.Handle(d.origin, d.dirSvc, d.handleDir)
 	for _, n := range nodes {
-		layer.Handle(n, d.service+".own", d.handleOwner)
+		layer.Handle(n, d.ownSvc, d.handleOwner)
 	}
 	return d
 }
@@ -497,6 +501,21 @@ func (d *DSM) entry(pg mem.PageID) *dirEntry {
 	return e
 }
 
+// pageProcs holds one page's directory and invalidation proc names.
+type pageProcs struct{ dir, inv string }
+
+// names returns the page's proc names, formatted once per page so the
+// fault path builds no strings.
+func (d *DSM) names(pg mem.PageID) pageProcs {
+	n, ok := d.procNames[pg]
+	if !ok {
+		s := strconv.Itoa(int(pg))
+		n = pageProcs{dir: d.dirProc + s, inv: d.invProc + s}
+		d.procNames[pg] = n
+	}
+	return n
+}
+
 func (d *DSM) lock(pg mem.PageID) *sim.Mutex {
 	lk, ok := d.locks[pg]
 	if !ok {
@@ -522,7 +541,7 @@ func (d *DSM) handleDir(m *msg.Message) {
 	}
 	d.seen[req.id] = true
 	parent := m.SpanID()
-	d.env.Spawn(d.dirProc+strconv.Itoa(int(req.page)), func(p *sim.Proc) {
+	d.env.Spawn(d.names(req.page).dir, func(p *sim.Proc) {
 		if d.tr != nil {
 			dsp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.dir")
 			p.SetSpan(dsp)
@@ -597,7 +616,8 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 	// Iterate nodes in the DSM's fixed order (not map order): the spawn
 	// order of invalidation processes feeds the event sequence, and trace
 	// output must be byte-identical across same-seed runs.
-	var waits []*sim.Event
+	var buf [8]*sim.Event // replicas to invalidate are few: no heap slice
+	waits := buf[:0]
 	parent := p.Span()
 	for _, n := range d.nodes {
 		if n == req.node || !e.copyset[n] {
@@ -612,15 +632,12 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			}
 			continue
 		}
-		ev := d.env.NewEvent()
-		waits = append(waits, ev)
-		d.env.Spawn(d.invProc+strconv.Itoa(int(req.page)), func(sub *sim.Proc) {
+		inv := d.env.Spawn(d.names(req.page).inv, func(sub *sim.Proc) {
 			if d.tr != nil {
 				isp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.inv")
 				sub.SetSpan(isp)
 				defer d.tr.End(isp)
 			}
-			defer ev.Fire()
 			if n == d.origin {
 				lp := d.page(d.origin, req.page)
 				if n == e.owner && !hasCopy {
@@ -645,11 +662,13 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			_, _ = d.callNode(sub, n, "inv",
 				d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
 		})
+		waits = append(waits, inv.Done())
 	}
 	p.WaitAll(waits...)
 
 	e.owner = req.node
-	e.copyset = map[int]bool{req.node: true}
+	clear(e.copyset)
+	e.copyset[req.node] = true
 	d.reconcileOrigin(e, req.page)
 	d.sendGrant(p, req, data)
 }

@@ -55,17 +55,17 @@ func (d *DSM) alive(node int) bool {
 // crash surfaces as an error.
 func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) (*msg.Message, error) {
 	if d.params.Retry.Timeout <= 0 {
-		return d.layer.Call(p, d.origin, to, d.service+".own", kind, size, payload), nil
+		return d.layer.Call(p, d.origin, to, d.ownSvc, kind, size, payload), nil
 	}
 	rp := d.params.Retry
 	backoff := rp.Backoff
 	start := p.Now()
 	for attempt := 1; ; attempt++ {
 		if !d.alive(to) {
-			return nil, &msg.TimeoutError{To: to, Service: d.service + ".own", Kind: kind,
+			return nil, &msg.TimeoutError{To: to, Service: d.ownSvc, Kind: kind,
 				Attempts: attempt - 1, Elapsed: p.Now() - start}
 		}
-		r, err := d.layer.CallTimeout(p, d.origin, to, d.service+".own", kind, size, payload, rp.Timeout)
+		r, err := d.layer.CallTimeout(p, d.origin, to, d.ownSvc, kind, size, payload, rp.Timeout)
 		if err == nil {
 			return r, nil
 		}

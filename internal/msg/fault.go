@@ -107,7 +107,7 @@ func (l *Layer) CallTimeout(p *sim.Proc, from, to int, service, kind string, siz
 	}
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: p.Span()}
 	m.replyEv = l.env.NewEvent()
-	l.deliver(m, nil)
+	l.deliver(m)
 	if !p.WaitTimeout(m.replyEv, timeout) {
 		l.faults.Timeouts++
 		return nil, &TimeoutError{To: to, Service: service, Kind: kind, Attempts: 1, Elapsed: timeout}

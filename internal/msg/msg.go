@@ -51,10 +51,13 @@ type Message struct {
 	Payload any
 
 	layer   *Layer
-	replyEv *sim.Event
+	replyEv *sim.Event // on a Call request: fired when the reply is delivered
 	reply   *Message
-	dup     bool  // fault-injected duplicate delivery of an earlier message
-	span    int64 // tracing span covering this message's delivery
+	wake    *sim.Event // on a reply: the caller's replyEv, fired instead of a handler
+	hop     func()     // m.arrive, bound once and run for both delivery hops
+	arrived bool       // the fabric hop is done; the next hop runs the handler
+	dup     bool       // fault-injected duplicate delivery of an earlier message
+	span    int64      // tracing span covering this message's delivery
 }
 
 // SpanID returns the tracing span covering this message's delivery (0 when
@@ -83,15 +86,14 @@ func (m *Message) Reply(size int, payload any) {
 	if m.replyEv.Fired() || m.reply != nil {
 		panic(fmt.Sprintf("msg: duplicate Reply to %s/%s", m.Service, m.Kind))
 	}
-	ev := m.replyEv
 	resp := &Message{
 		From: m.To, To: m.From,
-		Service: m.Service, Kind: m.Kind + ".reply",
+		Service: m.Service, Kind: m.layer.replyKind(m.Kind),
 		Size: size, Payload: payload, layer: m.layer,
-		span: m.span,
+		wake: m.replyEv, span: m.span,
 	}
 	m.reply = resp
-	m.layer.deliver(resp, func() { ev.Fire() })
+	m.layer.deliver(resp)
 }
 
 // ServiceStats counts traffic for one service.
@@ -111,6 +113,7 @@ type Layer struct {
 	faults   FaultStats
 	tr       *trace.Tracer
 	services map[string]int
+	replies  map[string]string // request kind -> interned reply kind
 }
 
 type serviceKey struct {
@@ -128,7 +131,19 @@ func NewLayer(env *sim.Env, net *netsim.Net, p Params) *Layer {
 		handlers: make(map[serviceKey]Handler),
 		stats:    make(map[string]*ServiceStats),
 		tr:       trace.FromEnv(env),
+		replies:  make(map[string]string),
 	}
+}
+
+// replyKind returns kind + ".reply", built once per kind so a reply
+// allocates no string.
+func (l *Layer) replyKind(kind string) string {
+	rk, ok := l.replies[kind]
+	if !ok {
+		rk = kind + ".reply"
+		l.replies[kind] = rk
+	}
+	return rk
 }
 
 // Instance returns a fresh 1-based sequence number for the named service
@@ -161,7 +176,7 @@ func (l *Layer) Send(from, to int, service, kind string, size int, payload any) 
 // span is created as a child of the given span. Send uses parent 0.
 func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int, payload any) {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: span}
-	l.deliver(m, nil)
+	l.deliver(m)
 }
 
 // Call delivers a request and blocks the process until the handler replies.
@@ -169,15 +184,15 @@ func (l *Layer) SendCtx(span int64, from, to int, service, kind string, size int
 func (l *Layer) Call(p *sim.Proc, from, to int, service, kind string, size int, payload any) *Message {
 	m := &Message{From: from, To: to, Service: service, Kind: kind, Size: size, Payload: payload, layer: l, span: p.Span()}
 	m.replyEv = l.env.NewEvent()
-	l.deliver(m, nil)
+	l.deliver(m)
 	p.Wait(m.replyEv)
 	return m.reply
 }
 
 // deliver routes a message through the fabric (or locally) and invokes the
-// destination handler after the receive-side processing cost. For replies,
-// onDelivered fires instead of a handler lookup.
-func (l *Layer) deliver(m *Message, onDelivered func()) {
+// destination handler after the receive-side processing cost. A reply
+// fires the caller's event instead of a handler lookup.
+func (l *Layer) deliver(m *Message) {
 	st, ok := l.stats[m.Service]
 	if !ok {
 		st = &ServiceStats{}
@@ -192,21 +207,10 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 		m.span = l.tr.Begin(m.span, trace.CatNet, m.To, l.tr.Key(m.Service, m.Kind))
 	}
 
-	handle := func() {
-		if onDelivered != nil {
-			onDelivered()
-		} else {
-			h, ok := l.handlers[serviceKey{m.To, m.Service}]
-			if !ok {
-				panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
-			}
-			h(m)
-		}
-		l.tr.End(m.span)
-	}
-	// Pooled fire-and-forget timers: delivery never cancels, so the two
-	// hops (fabric arrival, then handler latency) allocate no Timer.
-	receive := func() { l.env.Defer(l.params.HandlerLat, handle) }
+	// One bound callback serves both hops (fabric arrival, then handler
+	// latency), and pooled fire-and-forget timers carry it: delivery never
+	// cancels, so neither hop allocates a Timer.
+	m.hop = m.arrive
 
 	var verdict MsgOutcome
 	if l.filter != nil {
@@ -220,21 +224,21 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 			l.faults.Dropped++
 			return
 		}
-		l.env.Defer(0, receive)
+		l.env.Defer(0, m.hop)
 		return
 	}
 	// Cross-node drop/delay faults are ruled on by the fabric's own
 	// filter inside net.Send; the messaging layer adds duplication, which
 	// must be applied here so the duplicate can be delivered as a marked
 	// Message whose Reply is discarded.
-	l.net.SendCtx(m.span, m.From, m.To, m.Size+l.params.HeaderBytes, receive)
+	l.net.SendCtx(m.span, m.From, m.To, m.Size+l.params.HeaderBytes, m.hop)
 	if verdict.Duplicate {
 		l.faults.Duplicated++
 		clone := *m
 		clone.dup = true
 		l.net.Send(m.From, m.To, m.Size+l.params.HeaderBytes, func() {
 			l.env.Defer(l.params.HandlerLat, func() {
-				if onDelivered != nil {
+				if clone.wake != nil {
 					// Duplicate replies are dropped at the requester:
 					// the original already completed the call.
 					l.faults.DupRepliesDropped++
@@ -246,6 +250,28 @@ func (l *Layer) deliver(m *Message, onDelivered func()) {
 			})
 		})
 	}
+}
+
+// arrive is a message's delivery callback. Its first run is the arrival
+// at the receiver, which charges the handler latency; its second runs the
+// destination handler, or fires the caller's event for a reply.
+func (m *Message) arrive() {
+	l := m.layer
+	if !m.arrived {
+		m.arrived = true
+		l.env.Defer(l.params.HandlerLat, m.hop)
+		return
+	}
+	if m.wake != nil {
+		m.wake.Fire()
+	} else {
+		h, ok := l.handlers[serviceKey{m.To, m.Service}]
+		if !ok {
+			panic(fmt.Sprintf("msg: no handler for %s on node %d (kind %s)", m.Service, m.To, m.Kind))
+		}
+		h(m)
+	}
+	l.tr.End(m.span)
 }
 
 // Stats returns the traffic counters for a service (zeroes if unused).

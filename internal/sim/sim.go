@@ -4,8 +4,21 @@
 // priority queue ordered by (time, insertion sequence), which makes every
 // simulation run bit-identical for a given seed. Simulated activities are
 // written as ordinary sequential Go functions running in "processes"
-// (see Proc); the scheduler admits exactly one process at a time, so process
-// code never races even though each process is backed by a goroutine.
+// (see Proc); exactly one goroutine runs simulation code at any instant, so
+// process code never races even though each process is backed by a
+// goroutine.
+//
+// That goroutine holds the baton: it pops events in (time, seq) order and
+// runs them, callbacks included, until an event wakes a process. The baton
+// starts with the Run caller. A process that parks keeps it and runs the
+// loop itself: if the event it reaches wakes the parker again (a Sleep with
+// nothing else due), park returns with no channel operation at all;
+// otherwise the holder hands the baton straight to the woken process's
+// goroutine with one channel send. A finished process's goroutine keeps the
+// baton too, and runs the next woken process itself when that process has
+// no goroutine yet. Only an empty queue, the deadline, Stop or a pending
+// panic hands the baton back to Run. Which goroutine runs an event never
+// changes the order events run in, so results stay bit-identical.
 //
 // The primitives offered are the classic discrete-event toolkit:
 //
@@ -206,9 +219,10 @@ type Env struct {
 	timerFree  []*Timer
 	workerFree []*worker
 	seq        uint64
-	yield      chan struct{}
+	home       chan struct{} // baton hand-back to the RunUntil caller
+	deadline   Time          // of the RunUntil in progress
 	current    *Proc
-	procErr    any
+	panicked   any // proc or callback panic for RunUntil to re-raise
 	stopped    bool
 	spawned    int
 	procs      []*Proc
@@ -236,7 +250,7 @@ func (e *Env) Trace() any { return e.trace }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{home: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -263,7 +277,7 @@ func (e *Env) schedule(at Time, proc *Proc, fn func(), pooled bool) *Timer {
 	return tm
 }
 
-// wake schedules a pooled dispatch of p at the current time: the
+// wake schedules a pooled wake-up of p at the current time: the
 // allocation-free fast path under every Sleep return, Event broadcast,
 // Queue hand-off, and Mutex transfer.
 func (e *Env) wake(p *Proc) { e.schedule(e.now, p, nil, true) }
@@ -369,18 +383,43 @@ func (e *Env) Scheduled() uint64 { return e.seq }
 
 // Run executes events in order until the queue is empty or Stop is called.
 // If any process panics, Run re-panics with the process's stack trace.
-func (e *Env) Run() { e.RunUntil(Time(1<<62 - 1)) }
+func (e *Env) Run() { e.RunUntil(forever) }
+
+// forever is Run's deadline: later than any event.
+const forever = Time(1<<62 - 1)
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline if the simulation got that far. Events after the deadline stay
-// queued.
+// queued. A callback panic is re-raised here with its original value, even
+// when a process's goroutine held the baton at the time.
 func (e *Env) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 {
+	e.deadline = deadline
+	if p := e.loop(); p != nil {
+		e.resume(p)
+		<-e.home
+	}
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
+	if !e.stopped && deadline < forever && e.now < deadline {
+		e.now = deadline
+	}
+}
+
+// loop is the baton holder's event loop. It runs events in (time, seq)
+// order until one wakes a process, makes that process current and returns
+// it; the caller then runs it (or, if it is the caller's own process, just
+// returns into it). It returns nil when the baton must go back to RunUntil:
+// the queue is empty, the next event is past the deadline, Stop was called,
+// or a panic is pending.
+func (e *Env) loop() *Proc {
+	e.current = nil
+	for !e.stopped && e.panicked == nil && len(e.events) > 0 {
 		next := e.events[0]
-		if next.at > deadline {
-			e.now = deadline
-			return
+		if next.at > e.deadline {
+			return nil
 		}
 		e.events.pop()
 		if next.state == timerCancelled {
@@ -390,29 +429,61 @@ func (e *Env) RunUntil(deadline Time) {
 		}
 		next.state = timerFired
 		e.now = next.at
+		p := next.proc
 		switch {
 		case next.ev != nil:
 			// WaitTimeout deadline: wake the proc only if it is still
 			// parked on the event (a successful removal proves the event
 			// has not fired, so the proc observes the timeout).
-			if next.ev.removeWaiter(next.proc) {
-				e.dispatch(next.proc)
+			if !next.ev.removeWaiter(p) {
+				p = nil
 			}
-		case next.proc != nil:
-			e.dispatch(next.proc)
-		default:
+		case p == nil:
 			next.fn()
 		}
 		e.recycle(next)
-		if e.procErr != nil {
-			err := e.procErr
-			e.procErr = nil
-			panic(err)
+		if p != nil {
+			if p.finished {
+				panic(fmt.Sprintf("sim: wake of finished proc %q", p.name))
+			}
+			e.current = p
+			return p
 		}
 	}
-	if !e.stopped && deadline < Time(1<<62-1) && e.now < deadline {
-		e.now = deadline
+	return nil
+}
+
+// step is loop for a holder that is a process's goroutine. A callback
+// panic must not unwind into the parked process's own code, so it is
+// caught here and left for RunUntil to re-raise.
+func (e *Env) step() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+			next = nil
+		}
+	}()
+	return e.loop()
+}
+
+// pass hands the baton from a process's goroutine to next's goroutine,
+// binding one if next has never run, or back to RunUntil when next is
+// nil. After the send the sender must not touch environment state: the
+// receiver owns it.
+func (e *Env) pass(next *Proc) {
+	if next == nil {
+		e.home <- struct{}{}
+		return
 	}
+	e.resume(next)
+}
+
+// resume binds a worker to p if it has none and wakes that worker.
+func (e *Env) resume(p *Proc) {
+	if p.w == nil {
+		e.bind(p)
+	}
+	p.w.resume <- struct{}{}
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
@@ -423,38 +494,31 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		name: name,
 		fn:   fn,
 	}
-	p.done = e.NewEvent()
+	p.done.env = e
 	e.spawned++
 	e.procs = append(e.procs, p)
 	e.wake(p)
 	return p
 }
 
-// dispatch hands control of the event loop to p until p parks or finishes.
-// The dispatch on which p finishes also reaps it: once finished procs
-// outnumber live ones the process table is compacted (preserving spawn
-// order of survivors), so week-long fleet runs do not accumulate every
-// proc ever spawned and LiveProcs stays O(live). Reaping happens at this
-// single deterministic point in event execution, never from a finalizer or
-// background task, so it cannot perturb same-seed runs.
-func (e *Env) dispatch(p *Proc) {
-	if p.finished {
-		panic(fmt.Sprintf("sim: dispatch of finished proc %q", p.name))
+// finish retires p on the goroutine that ran it, which still holds the
+// baton. Once finished procs outnumber live ones the process table is
+// compacted (preserving spawn order of survivors), so week-long fleet runs
+// do not accumulate every proc ever spawned and LiveProcs stays O(live).
+// Reaping happens at this single deterministic point in event execution,
+// never from a finalizer or background task, so it cannot perturb
+// same-seed runs.
+func (e *Env) finish(p *Proc) {
+	p.finished = true
+	if !p.done.fired {
+		p.done.Fire()
 	}
-	if p.w == nil {
-		e.bind(p)
-	}
-	prev := e.current
-	e.current = p
-	p.w.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-	if p.finished {
-		e.finished++
-		e.progress++
-		if len(e.procs) >= procCompactMin && e.finished*2 > len(e.procs) {
-			e.compactProcs()
-		}
+	p.fn = nil
+	p.w = nil
+	e.finished++
+	e.progress++
+	if len(e.procs) >= procCompactMin && e.finished*2 > len(e.procs) {
+		e.compactProcs()
 	}
 }
 
@@ -494,10 +558,10 @@ func (e *Env) compactProcs() {
 	e.finished = 0
 }
 
-// worker is a pooled coroutine backing: one goroutine plus its rendezvous
+// worker is a pooled coroutine backing: one goroutine plus its resume
 // channel, reused across the lifetimes of many Procs. The goroutine loops
-// forever, running one proc function per iteration and parking itself on
-// the environment's free list in between.
+// forever, running proc functions and holding the baton between them, and
+// parks itself on the environment's free list once it hands the baton on.
 type worker struct {
 	env    *Env
 	resume chan struct{}
@@ -505,26 +569,28 @@ type worker struct {
 }
 
 // loop is the worker goroutine's body. Each iteration runs one proc to
-// completion; the hand-off discipline is identical to the old
-// one-goroutine-per-proc design (exactly one of {event loop, one worker}
-// runs at any instant, sequenced by the yield/resume channels), so process
-// code still never races. Returning the worker to the free list happens
-// before the final yield, while the event loop is still parked — no
-// concurrent mutation of environment state.
+// completion, retires it, and then runs the event loop as baton holder.
+// If the next woken proc has never run, the worker binds it to itself and
+// goes round again with no channel operation; otherwise it returns to the
+// free list before passing the baton on, while it still owns environment
+// state.
 func (w *worker) loop() {
+	e := w.env
+	<-w.resume
 	for {
-		<-w.resume
 		p := w.p
 		w.run(p)
-		p.finished = true
-		if !p.done.Fired() {
-			p.done.Fire()
+		e.finish(p)
+		next := e.step()
+		if next != nil && next.w == nil {
+			w.p = next
+			next.w = w
+			continue
 		}
-		p.fn = nil
-		p.w = nil
 		w.p = nil
-		w.env.workerFree = append(w.env.workerFree, w)
-		w.env.yield <- struct{}{}
+		e.workerFree = append(e.workerFree, w)
+		e.pass(next)
+		<-w.resume
 	}
 }
 
@@ -533,7 +599,7 @@ func (w *worker) loop() {
 func (w *worker) run(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.env.procErr = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+			w.env.panicked = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 	}()
 	p.fn(p)
@@ -547,7 +613,7 @@ type Proc struct {
 	name     string
 	w        *worker
 	fn       func(*Proc)
-	done     *Event
+	done     Event
 	finished bool
 	span     int64
 }
@@ -570,15 +636,23 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // Done returns an event fired when the process function returns.
-func (p *Proc) Done() *Event { return p.done }
+func (p *Proc) Done() *Event { return &p.done }
 
-// park returns control to the event loop until the proc is re-dispatched.
+// park suspends the process until an event wakes it. The parking
+// goroutine holds the baton, so it runs the event loop itself: a self-wake
+// returns with no channel operation, any other wake passes the baton to the
+// woken process's goroutine (or back to RunUntil) and waits to be resumed.
 func (p *Proc) park() {
-	if p.env.current != p {
+	e := p.env
+	if e.current != p {
 		panic(fmt.Sprintf("sim: proc %q parking while not current", p.name))
 	}
+	next := e.step()
+	if next == p {
+		return
+	}
 	w := p.w
-	p.env.yield <- struct{}{}
+	e.pass(next)
 	<-w.resume
 }
 

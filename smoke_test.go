@@ -7,36 +7,75 @@ package repro
 
 import (
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// smokeBins holds the cmd/ and examples/ binaries, built once per test
+// binary by the first smoke test that needs one.
+var smokeBins struct {
+	once sync.Once
+	dir  string
+	out  []byte
+	err  error
+}
+
+// TestMain removes the smoke binaries after the run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if smokeBins.dir != "" {
+		os.RemoveAll(smokeBins.dir)
+	}
+	os.Exit(code)
+}
+
+// smokeBinary returns the path of pkg's binary. The first call builds
+// every cmd/ and examples/ package with a single `go build -o`; each
+// binary is named after its package directory.
+func smokeBinary(t *testing.T, pkg string) string {
+	t.Helper()
+	smokeBins.once.Do(func() {
+		smokeBins.dir, smokeBins.err = os.MkdirTemp("", "repro-smoke-")
+		if smokeBins.err != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", smokeBins.dir+string(os.PathSeparator), "./cmd/...", "./examples/...")
+		smokeBins.out, smokeBins.err = cmd.CombinedOutput()
+	})
+	if smokeBins.err != nil {
+		t.Fatalf("building the cmd/ and examples/ binaries failed: %v\n%s", smokeBins.err, smokeBins.out)
+	}
+	return filepath.Join(smokeBins.dir, filepath.Base(pkg))
+}
+
 func runSmoke(t *testing.T, pkg string, args ...string) string {
 	t.Helper()
-	cmd := exec.Command("go", append([]string{"run", pkg}, args...)...)
+	cmd := exec.Command(smokeBinary(t, pkg), args...)
 	cmd.Dir = "."
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go run %s %v failed: %v\noutput:\n%s", pkg, args, err, out)
+		t.Fatalf("%s %v failed: %v\noutput:\n%s", pkg, args, err, out)
 	}
 	if len(out) == 0 {
-		t.Fatalf("go run %s %v produced no output", pkg, args)
+		t.Fatalf("%s %v produced no output", pkg, args)
 	}
 	return string(out)
 }
 
 func TestSmokeCmdFragsim(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	runSmoke(t, "./cmd/fragsim", "-workload", "EP", "-scale", "0.01", "-vcpus", "2")
 }
 
 func TestSmokeCmdFragbench(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	runSmoke(t, "./cmd/fragbench", "-fig", "fig4", "-scale", "0.02")
 	// The listing must include the fault-recovery and fleet experiments.
@@ -66,7 +105,7 @@ func TestSmokeCmdFragbench(t *testing.T) {
 
 func TestSmokeCmdFragsweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	out := runSmoke(t, "./cmd/fragsweep", "-list")
 	for _, want := range []string{"fleetsoak", "fleetsoak-evict", "fleetsoak-resize", "fleetchurn", "reduce"} {
@@ -110,7 +149,7 @@ func TestSmokeCmdFragsweep(t *testing.T) {
 
 func TestSmokeCmdFragfleet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	args := []string{"-nodes", "4", "-vms", "16", "-until", "60", "-reclaim-at", "2@30", "-crash", "1@45"}
 	out := runSmoke(t, "./cmd/fragfleet", args...)
@@ -127,7 +166,7 @@ func TestSmokeCmdFragfleet(t *testing.T) {
 
 func TestSmokeCmdFragtrace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	out := runSmoke(t, "./cmd/fragtrace",
 		"-experiment", "fig4", "-scale", "0.005",
@@ -141,14 +180,14 @@ func TestSmokeCmdFragtrace(t *testing.T) {
 
 func TestSmokeCmdFragsched(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
+		t.Skip("skipping smoke test in -short mode")
 	}
 	runSmoke(t, "./cmd/fragsched", "-scale", "0.02")
 }
 
 func TestSmokeExamples(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping go-run smoke tests in -short mode")
+		t.Skip("skipping smoke tests in -short mode")
 	}
 	for _, pkg := range []string{
 		"./examples/quickstart",
