@@ -7,6 +7,14 @@
 
 GO ?= go
 
+# Recipes that write files keep them in a private directory, so two
+# `make check` runs on one host never read each other's files. Such a
+# recipe starts with $(mktmp), which sets tmp to a fresh `mktemp -d`
+# directory, and its last line removes it. Make expands all of a recipe's
+# lines when it starts the recipe, so each keeps its own tmp under -j. A
+# failing gate leaves its directory behind for inspection.
+mktmp = $(eval tmp := $(shell mktemp -d))
+
 .PHONY: check check-race fmt vet build test test-times race bench-smoke bench-module \
 	trace-smoke sweep-smoke balloon-smoke topo-smoke netstorm-smoke chaos-smoke
 
@@ -34,13 +42,15 @@ test:
 # time is the smaller). A report, not a gate: it exits non-zero only when
 # a test fails, printing the full log.
 test-times:
+	$(mktmp)
 	@start=$$(date +%s); \
-	$(GO) test -count=1 ./... > /tmp/test-times.log 2>&1; st=$$?; \
+	$(GO) test -count=1 ./... > $(tmp)/test-times.log 2>&1; st=$$?; \
 	end=$$(date +%s); \
 	awk '($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { sum += $$3; printf "%8.2fs  %s\n", $$3, $$2 | "sort -rn" } \
-		END { close("sort -rn"); printf "%8.2fs  sum of package times\n", sum }' /tmp/test-times.log; \
+		END { close("sort -rn"); printf "%8.2fs  sum of package times\n", sum }' $(tmp)/test-times.log; \
 	printf "%8ds  wall time of go test -count=1 ./...\n" $$((end - start)); \
-	if [ $$st -ne 0 ]; then cat /tmp/test-times.log; fi; \
+	if [ $$st -ne 0 ]; then cat $(tmp)/test-times.log; fi; \
+	rm -rf $(tmp); \
 	exit $$st
 
 race:
@@ -63,16 +73,20 @@ bench-module:
 # trace file; fragtrace exits non-zero if the critical-path categories do
 # not sum to the total or the JSON is malformed.
 trace-smoke:
-	$(GO) run ./cmd/fragtrace -experiment fig4 -scale 0.005 -out /tmp/fragtrace-smoke.json
+	$(mktmp)
+	$(GO) run ./cmd/fragtrace -experiment fig4 -scale 0.005 -out $(tmp)/fragtrace-smoke.json
+	rm -rf $(tmp)
 
 # Determinism-under-concurrency gate: the same >=16-run fragsweep grid
 # (2 experiments x 8 seeds) run sequentially and across the worker pool
 # must produce byte-identical JSON. -parallel changes wall time, never
 # bytes.
 sweep-smoke:
-	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json -parallel 1 > /tmp/fragsweep-seq.json
-	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json > /tmp/fragsweep-par.json
-	cmp /tmp/fragsweep-seq.json /tmp/fragsweep-par.json
+	$(mktmp)
+	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json -parallel 1 > $(tmp)/fragsweep-seq.json
+	$(GO) run ./cmd/fragsweep -scales 0.02 -seeds 8 -runs -json > $(tmp)/fragsweep-par.json
+	cmp $(tmp)/fragsweep-seq.json $(tmp)/fragsweep-par.json
+	rm -rf $(tmp)
 	@echo "sweep-smoke: parallel output byte-identical to sequential"
 
 # Three-way reclaim-policy gate: the consolidate/evict/resize soak grid
@@ -80,14 +94,16 @@ sweep-smoke:
 # worker counts, and the appended policy-comparison table must carry one
 # row per policy.
 balloon-smoke:
+	$(mktmp)
 	$(GO) run ./cmd/fragsweep -experiments fleetsoak,fleetsoak-evict,fleetsoak-resize \
-		-scales 0.02 -seeds 6 -json -parallel 1 > /tmp/balloon-seq.json
+		-scales 0.02 -seeds 6 -json -parallel 1 > $(tmp)/balloon-seq.json
 	$(GO) run ./cmd/fragsweep -experiments fleetsoak,fleetsoak-evict,fleetsoak-resize \
-		-scales 0.02 -seeds 6 -json > /tmp/balloon-par.json
-	cmp /tmp/balloon-seq.json /tmp/balloon-par.json
-	grep -q '"consolidate"' /tmp/balloon-par.json
-	grep -q '"evict"' /tmp/balloon-par.json
-	grep -q '"resize"' /tmp/balloon-par.json
+		-scales 0.02 -seeds 6 -json > $(tmp)/balloon-par.json
+	cmp $(tmp)/balloon-seq.json $(tmp)/balloon-par.json
+	grep -q '"consolidate"' $(tmp)/balloon-par.json
+	grep -q '"evict"' $(tmp)/balloon-par.json
+	grep -q '"resize"' $(tmp)/balloon-par.json
+	rm -rf $(tmp)
 	@echo "balloon-smoke: three-policy grid byte-identical; all policy rows present"
 
 # Tree-topology gate: the fleettopo oversubscribed-spine sweep must be
@@ -95,9 +111,11 @@ balloon-smoke:
 # pinned by the golden tests in the main suite (fabric_golden_test.go,
 # internal/netsim/golden_test.go).
 topo-smoke:
-	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json -parallel 1 > /tmp/topo-seq.json
-	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json > /tmp/topo-par.json
-	cmp /tmp/topo-seq.json /tmp/topo-par.json
+	$(mktmp)
+	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json -parallel 1 > $(tmp)/topo-seq.json
+	$(GO) run ./cmd/fragsweep -experiments fleettopo -scales 0.05 -seeds 6 -runs -json > $(tmp)/topo-par.json
+	cmp $(tmp)/topo-seq.json $(tmp)/topo-par.json
+	rm -rf $(tmp)
 	@echo "topo-smoke: tree sweep deterministic under -parallel"
 
 # Reliable-transport / fault-domain gate: the netstorm sweep (drop
@@ -109,9 +127,11 @@ topo-smoke:
 # the ToR-cut deaths, is pinned by the fault_detect golden in the main
 # suite (fault_detect_golden_test.go).
 netstorm-smoke:
-	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json -parallel 1 > /tmp/netstorm-seq.json
-	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json > /tmp/netstorm-par.json
-	cmp /tmp/netstorm-seq.json /tmp/netstorm-par.json
+	$(mktmp)
+	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json -parallel 1 > $(tmp)/netstorm-seq.json
+	$(GO) run ./cmd/fragsweep -experiments netstorm -scales 0.02 -seeds 4 -runs -json > $(tmp)/netstorm-par.json
+	cmp $(tmp)/netstorm-seq.json $(tmp)/netstorm-par.json
+	rm -rf $(tmp)
 	@echo "netstorm-smoke: storm/cut recovery deterministic across sweep workers"
 
 # Chaos gate, two halves. Clean search: a bounded ~64-episode search
@@ -121,9 +141,11 @@ netstorm-smoke:
 # hook, the search must find it (non-zero exit), shrink it, and export
 # an artifact that -replay re-executes byte-identically.
 chaos-smoke:
-	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json /tmp/chaos-seq.json -parallel 1
-	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json /tmp/chaos-par.json
-	cmp /tmp/chaos-seq.json /tmp/chaos-par.json
-	! $(GO) run ./cmd/fragchaos -episodes 12 -seed 2 -no-dedup -artifact /tmp/chaos-repro.json > /dev/null 2>&1
-	$(GO) run ./cmd/fragchaos -replay /tmp/chaos-repro.json
+	$(mktmp)
+	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json $(tmp)/chaos-seq.json -parallel 1
+	$(GO) run ./cmd/fragchaos -episodes 64 -seed 1 -json $(tmp)/chaos-par.json
+	cmp $(tmp)/chaos-seq.json $(tmp)/chaos-par.json
+	! $(GO) run ./cmd/fragchaos -episodes 12 -seed 2 -no-dedup -artifact $(tmp)/chaos-repro.json > /dev/null 2>&1
+	$(GO) run ./cmd/fragchaos -replay $(tmp)/chaos-repro.json
+	rm -rf $(tmp)
 	@echo "chaos-smoke: clean search deterministic; seeded bug found, shrunk, replayed byte-identically"

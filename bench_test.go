@@ -77,7 +77,12 @@ func BenchmarkVCPUMigration(b *testing.B) {
 }
 
 // BenchmarkDSMFault measures the simulator's cost per remote DSM write
-// fault — the engine's hottest path.
+// fault — the engine's hottest path. Every op moves the page: half of
+// them fetch it from the other slice with invfetch.
+//
+// Select it with the anchored pattern, -bench 'DSMFault$': the bare
+// -bench DSMFault also matches BenchmarkFig04DSMFaultTraffic, which runs
+// fig4 at full scale.
 func BenchmarkDSMFault(b *testing.B) {
 	tb := fragvisor.NewTestbed(2)
 	vm := tb.NewFragVisorVM(2, 4<<30)
@@ -86,6 +91,29 @@ func BenchmarkDSMFault(b *testing.B) {
 	tb.Env.Spawn("pingpong", func(p *fragvisor.Proc) {
 		for i := 0; i < b.N; i++ {
 			vm.DSM.Touch(p, i%2, 12345, true)
+		}
+	})
+	tb.Run()
+}
+
+// BenchmarkDSMReadFault measures a remote DSM read fault on the fetch
+// path: each op is a write on slice 1, which invalidates the reader's copy
+// and keeps its own bytes, then a read on slice 0 that fetches the page
+// from slice 1. Each op moves one page.
+//
+// Run both DSM fault micros with -bench 'DSM(Read)?Fault$'. The bare
+// -bench DSMFault does not select this benchmark, and it also matches
+// BenchmarkFig04DSMFaultTraffic, which runs fig4 at full scale; anchor it
+// as -bench 'DSMFault$'.
+func BenchmarkDSMReadFault(b *testing.B) {
+	tb := fragvisor.NewTestbed(2)
+	vm := tb.NewFragVisorVM(2, 4<<30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	tb.Env.Spawn("writeread", func(p *fragvisor.Proc) {
+		for i := 0; i < b.N; i++ {
+			vm.DSM.Touch(p, 1, 12345, true)
+			vm.DSM.Touch(p, 0, 12345, false)
 		}
 	})
 	tb.Run()

@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/msg"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -17,10 +19,81 @@ import (
 // the protocol may move and replicate pages, but never lose or reorder
 // data.
 func TestCoherenceAgainstReferenceMemory(t *testing.T) {
+	checkAgainstReferenceMemory(t, DefaultParams(), nil)
+}
+
+// TestCoherenceAgainstReferenceMemoryUnderFaults runs the same property on
+// the fault-tolerant protocol over a fabric that drops, delays and
+// duplicates messages. Grants then reach handleOwner again after their
+// install — duplicated, re-sent after a lost ack, or overtaken by their own
+// duplicate — while the snapshot they carry has already been retired,
+// poisoned (see newTestDSM) and perhaps reused. Reads must still match the
+// flat memory and the directory must validate.
+func TestCoherenceAgainstReferenceMemoryUnderFaults(t *testing.T) {
+	p := DefaultParams()
+	p.Retry = msg.RetryPolicy{
+		Timeout:    60 * sim.Microsecond,
+		Backoff:    5 * sim.Microsecond,
+		MaxBackoff: 40 * sim.Microsecond,
+	}
+	f := &lossyFabric{}
+	checkAgainstReferenceMemory(t, p, func(d *DSM, seed int64) {
+		f.rng = rand.New(rand.NewSource(seed))
+		d.layer.Net().SetFilter(f)
+		d.layer.SetFilter(f)
+	})
+	if f.dropped == 0 || f.delayed == 0 || f.duplicated == 0 {
+		t.Errorf("%d drops, %d delays, %d duplicates injected, want some of each", f.dropped, f.delayed, f.duplicated)
+	}
+	t.Logf("%d drops, %d delays, %d duplicates injected", f.dropped, f.delayed, f.duplicated)
+}
+
+// lossyFabric drops, delays and duplicates messages at random: as a
+// netsim.Filter it rules on every fabric message, as a msg.Filter it
+// duplicates grants and fetches. A duplicated fetch makes a snapshot that
+// is never installed. Delays stay under half the retry timeout, so a
+// delayed request is answered before its sender re-sends it.
+//
+// inv and invfetch are not duplicated: a copy that lands after the page
+// lock is released invalidates a replica its node has since regained,
+// which the protocol does not guard against.
+type lossyFabric struct {
+	rng                          *rand.Rand
+	dropped, delayed, duplicated int
+}
+
+func (f *lossyFabric) Outcome(from, to, size int) netsim.Outcome {
+	switch r := f.rng.Intn(16); {
+	case r == 0:
+		f.dropped++
+		return netsim.Outcome{Drop: true}
+	case r < 5:
+		f.delayed++
+		return netsim.Outcome{Delay: sim.Time(1+f.rng.Intn(20)) * sim.Microsecond}
+	}
+	return netsim.Outcome{}
+}
+
+func (f *lossyFabric) MsgOutcome(from, to int, service, kind string) msg.MsgOutcome {
+	if (kind != "grant" && kind != "fetch") || f.rng.Intn(3) != 0 {
+		return msg.MsgOutcome{}
+	}
+	f.duplicated++
+	return msg.MsgOutcome{Duplicate: true}
+}
+
+// checkAgainstReferenceMemory runs random sequential read/write programs
+// against a DSM with the given parameters (after inject, if non-nil, has
+// installed its faults) and fails the test when a read differs from a flat
+// reference memory or the final directory state does not validate.
+func checkAgainstReferenceMemory(t *testing.T, params Params, inject func(d *DSM, seed int64)) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nNodes := 2 + rng.Intn(3)
-		env, d := newTestDSM(nNodes, DefaultParams())
+		env, d := newTestDSM(nNodes, params)
+		if inject != nil {
+			inject(d, seed)
+		}
 		ref := make(map[mem.PageID][]byte)
 		ok := true
 		run(env, func(p *sim.Proc) {
@@ -45,12 +118,17 @@ func TestCoherenceAgainstReferenceMemory(t *testing.T) {
 						want = make([]byte, mem.PageSize)
 					}
 					if !bytes.Equal(got, want) {
+						t.Logf("seed %d op %d: node %d read of page %d diverges from reference memory", seed, op, node, pg)
 						ok = false
 						return
 					}
 				}
 			}
 		})
+		if err := d.Validate(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {

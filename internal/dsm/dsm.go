@@ -186,6 +186,11 @@ type fetchReq struct {
 // node. The requester installs it synchronously at delivery and
 // acknowledges; the directory holds the page lock until the ack, so a
 // replica can never be resurrected by a stale in-flight grant.
+//
+// data is a snapshot taken with snap. Its one reader is the install in
+// handleOwner, which retires it to the free list; every other delivery of
+// the same grant (a duplicate, a re-send after a lost ack) finds the fault
+// no longer pending and never reads it.
 type grantMsg struct {
 	id    uint64
 	page  mem.PageID
@@ -226,6 +231,8 @@ type DSM struct {
 
 	nextFault uint64
 	pending   map[uint64]*pendingFault
+	free      [][]byte        // retired page snapshots, reused by snap
+	poison    bool            // tests: fill retired snapshots with 0xA5
 	seen      map[uint64]bool // fault ids the directory has accepted
 	fv        FaultView
 	excluded  map[int]bool // nodes fenced out by MarkDead (see fault.go)
@@ -525,6 +532,31 @@ func (d *DSM) lock(pg mem.PageID) *sim.Mutex {
 	return lk
 }
 
+// snap returns a copy of a page's bytes in a recycled buffer. The copy
+// travels in a fetch reply and then a grant; see grantMsg for who may read
+// it and when it is retired.
+func (d *DSM) snap(src []byte) []byte {
+	var b []byte
+	if n := len(d.free); n > 0 {
+		b = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		b = make([]byte, mem.PageSize)
+	}
+	copy(b, src)
+	return b
+}
+
+// retire returns an installed snapshot to the free list.
+func (d *DSM) retire(b []byte) {
+	if d.poison {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	d.free = append(d.free, b)
+}
+
 // handleDir serves fault requests at the origin directory. Each request is
 // handled by a short-lived process serialized per page, so concurrent
 // faults on one page queue while faults on different pages proceed in
@@ -587,7 +619,7 @@ func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
-		data = append([]byte(nil), lp.data...)
+		data = d.snap(lp.data)
 	} else if !d.alive(e.owner) {
 		data = d.reclaim(e, req.page)
 	} else {
@@ -628,7 +660,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			// A dead replica holder needs no invalidation; if it owned the
 			// only copy, fall back to the origin's (stale) replica.
 			if n == e.owner && !hasCopy {
-				data = append([]byte(nil), d.page(d.origin, req.page).data...)
+				data = d.snap(d.page(d.origin, req.page).data)
 			}
 			continue
 		}
@@ -641,7 +673,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 			if n == d.origin {
 				lp := d.page(d.origin, req.page)
 				if n == e.owner && !hasCopy {
-					data = append([]byte(nil), lp.data...)
+					data = d.snap(lp.data)
 				}
 				lp.state = Invalid
 				d.mustStats(d.origin).Invalidations++
@@ -651,7 +683,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 				r, err := d.callNode(sub, n, "invfetch",
 					d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
 				if err != nil {
-					data = append([]byte(nil), d.page(d.origin, req.page).data...)
+					data = d.snap(d.page(d.origin, req.page).data)
 					return
 				}
 				data = r.Payload.([]byte)
@@ -675,7 +707,9 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 
 // handleOwner serves grant installations and fetch/invalidate requests at
 // replica holders. All run synchronously at message delivery, so a node's
-// replica state transitions exactly in fabric-delivery order.
+// replica state transitions exactly in fabric-delivery order. fetch and
+// invfetch reply with a snap of the replica; installing a grant is the only
+// place a snapshot is read, and it retires the buffer right after the copy.
 func (d *DSM) handleOwner(m *msg.Message) {
 	switch m.Kind {
 	case "grant":
@@ -687,6 +721,8 @@ func (d *DSM) handleOwner(m *msg.Message) {
 			// reaching a node fenced out by MarkDead while the grant was
 			// in flight: acknowledge so the directory releases the page
 			// lock, but do not install — the directory state has moved on.
+			// g.data is not read here: an install may already have retired
+			// it, and a snapshot that is never installed stays garbage.
 			m.Reply(d.params.ReqBytes, nil)
 			return
 		}
@@ -694,6 +730,7 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		lp := d.page(m.To, g.page)
 		if g.data != nil {
 			copy(lp.data, g.data)
+			d.retire(g.data)
 			pf.moved = mem.PageSize
 		}
 		if g.write {
@@ -712,9 +749,9 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		if lp.state == Exclusive {
 			lp.state = Shared
 		}
-		m.Reply(mem.PageSize+d.params.ReqBytes, append([]byte(nil), lp.data...))
+		m.Reply(mem.PageSize+d.params.ReqBytes, d.snap(lp.data))
 	case "invfetch":
-		data := append([]byte(nil), lp.data...)
+		data := d.snap(lp.data)
 		lp.state = Invalid
 		d.mustStats(m.To).Invalidations++
 		m.Reply(mem.PageSize+d.params.ReqBytes, data)

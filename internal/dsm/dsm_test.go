@@ -10,8 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// newTestDSM builds a DSM over n nodes (fabric ids 0..n-1) with FragVisor
-// default parameters.
+// newTestDSM builds a DSM over n nodes (fabric ids 0..n-1) with the given
+// parameters. Retired page snapshots are poisoned, so a stale reader of a
+// recycled buffer sees 0xA5 bytes whatever the reuse timing.
 func newTestDSM(n int, p Params) (*sim.Env, *DSM) {
 	env := sim.NewEnv()
 	fabric := netsim.New(env, "fabric", 1500*sim.Nanosecond, 56)
@@ -20,7 +21,9 @@ func newTestDSM(n int, p Params) (*sim.Env, *DSM) {
 	for i := range nodes {
 		nodes[i] = i
 	}
-	return env, New(env, layer, nodes, p)
+	d := New(env, layer, nodes, p)
+	d.poison = true
+	return env, d
 }
 
 // run executes fn in a process and runs the simulation to completion.

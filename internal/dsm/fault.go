@@ -113,7 +113,7 @@ func (d *DSM) reclaim(e *dirEntry, pg mem.PageID) []byte {
 	if lp.state == Invalid {
 		lp.state = Shared
 	}
-	return append([]byte(nil), lp.data...)
+	return d.snap(lp.data)
 }
 
 // MarkDead removes a crashed node from the protocol: its replicas are
