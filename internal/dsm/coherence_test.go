@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,14 +31,8 @@ func TestCoherenceAgainstReferenceMemory(t *testing.T) {
 // poisoned (see newTestDSM) and perhaps reused. Reads must still match the
 // flat memory and the directory must validate.
 func TestCoherenceAgainstReferenceMemoryUnderFaults(t *testing.T) {
-	p := DefaultParams()
-	p.Retry = msg.RetryPolicy{
-		Timeout:    60 * sim.Microsecond,
-		Backoff:    5 * sim.Microsecond,
-		MaxBackoff: 40 * sim.Microsecond,
-	}
 	f := &lossyFabric{}
-	checkAgainstReferenceMemory(t, p, func(d *DSM, seed int64) {
+	checkAgainstReferenceMemory(t, retryParams(), func(d *DSM, seed int64) {
 		f.rng = rand.New(rand.NewSource(seed))
 		d.layer.Net().SetFilter(f)
 		d.layer.SetFilter(f)
@@ -88,52 +83,64 @@ func (f *lossyFabric) MsgOutcome(from, to int, service, kind string) msg.MsgOutc
 // reference memory or the final directory state does not validate.
 func checkAgainstReferenceMemory(t *testing.T, params Params, inject func(d *DSM, seed int64)) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nNodes := 2 + rng.Intn(3)
-		env, d := newTestDSM(nNodes, params)
-		if inject != nil {
-			inject(d, seed)
+		_, d, diverged := referenceProgram(params, seed, inject)
+		if diverged != "" {
+			t.Logf("seed %d: %s", seed, diverged)
+			return false
 		}
-		ref := make(map[mem.PageID][]byte)
-		ok := true
-		run(env, func(p *sim.Proc) {
-			for op := 0; op < 200; op++ {
-				node := rng.Intn(nNodes)
-				pg := mem.PageID(rng.Intn(8)) // few pages: force sharing
-				off := rng.Intn(mem.PageSize - 8)
-				if rng.Intn(2) == 0 {
-					var buf [8]byte
-					binary.LittleEndian.PutUint64(buf[:], rng.Uint64())
-					d.Write(p, node, pg, off, buf[:])
-					page, found := ref[pg]
-					if !found {
-						page = make([]byte, mem.PageSize)
-						ref[pg] = page
-					}
-					copy(page[off:], buf[:])
-				} else {
-					got := d.Read(p, node, pg)
-					want, found := ref[pg]
-					if !found {
-						want = make([]byte, mem.PageSize)
-					}
-					if !bytes.Equal(got, want) {
-						t.Logf("seed %d op %d: node %d read of page %d diverges from reference memory", seed, op, node, pg)
-						ok = false
-						return
-					}
-				}
-			}
-		})
 		if err := d.Validate(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// referenceProgram runs the seeded 200-operation read/write program of
+// checkAgainstReferenceMemory to completion on a fresh DSM of 2 to 4
+// nodes. It returns the environment, the DSM and a description of the
+// first read that diverged from the flat reference memory ("" if none).
+func referenceProgram(params Params, seed int64, inject func(d *DSM, seed int64)) (*sim.Env, *DSM, string) {
+	rng := rand.New(rand.NewSource(seed))
+	nNodes := 2 + rng.Intn(3)
+	env, d := newTestDSM(nNodes, params)
+	if inject != nil {
+		inject(d, seed)
+	}
+	ref := make(map[mem.PageID][]byte)
+	diverged := ""
+	run(env, func(p *sim.Proc) {
+		for op := 0; op < 200; op++ {
+			node := rng.Intn(nNodes)
+			pg := mem.PageID(rng.Intn(8)) // few pages: force sharing
+			off := rng.Intn(mem.PageSize - 8)
+			if rng.Intn(2) == 0 {
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], rng.Uint64())
+				d.Write(p, node, pg, off, buf[:])
+				page, found := ref[pg]
+				if !found {
+					page = make([]byte, mem.PageSize)
+					ref[pg] = page
+				}
+				copy(page[off:], buf[:])
+			} else {
+				got := d.Read(p, node, pg)
+				want, found := ref[pg]
+				if !found {
+					want = make([]byte, mem.PageSize)
+				}
+				if !bytes.Equal(got, want) {
+					diverged = fmt.Sprintf("op %d: node %d read of page %d diverges from reference memory", op, node, pg)
+					return
+				}
+			}
+		}
+	})
+	return env, d, diverged
 }
 
 // TestSingleWriterInvariant checks that after any concurrent workload, each
