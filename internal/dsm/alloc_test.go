@@ -13,8 +13,9 @@ import (
 // snapshot buffer, so both byte bounds sit below one page: a fault path
 // that copies the page into a fresh buffer again fails them.
 const (
-	// One remote write fault: request, directory proc, invalidation proc,
-	// grant and their replies.
+	// One remote write fault: request, directory op and invalidation
+	// tasks, grant and their replies. On the retrying protocol each call
+	// to a node also carries its reply deadline, under the same bound.
 	maxWriteFaultAllocs = 22
 	maxWriteFaultBytes  = mem.PageSize / 2
 	// One remote read fault, plus the write fault that invalidates the
@@ -35,9 +36,10 @@ func TestRemoteFaultHeapCost(t *testing.T) {
 		node  int
 		write bool
 	}
-	for _, tc := range []struct {
-		name  string
-		nodes int
+	type heapCase struct {
+		name   string
+		nodes  int
+		params Params
 		// steps are issued in turn, perRun to a run, from the state where
 		// node 1 owns the page. Every step faults, and a run moves exactly
 		// one page.
@@ -47,12 +49,14 @@ func TestRemoteFaultHeapCost(t *testing.T) {
 		maxBytes  int
 		wantRead  int64 // read faults per run
 		wantWrite int64 // write faults per run
-	}{{
+	}
+	cases := []heapCase{{
 		// Nodes 0 and 1 take ownership from each other. Node 0's faults
 		// fetch the page from node 1 with invfetch; node 1's take the
 		// directory's own copy.
 		name:      "write",
 		nodes:     2,
+		params:    DefaultParams(),
 		steps:     []access{{node: 0, write: true}, {node: 1, write: true}},
 		perRun:    1,
 		maxAllocs: maxWriteFaultAllocs, maxBytes: maxWriteFaultBytes,
@@ -63,13 +67,23 @@ func TestRemoteFaultHeapCost(t *testing.T) {
 		// only the read moves a page.
 		name:      "read",
 		nodes:     3,
+		params:    DefaultParams(),
 		steps:     []access{{node: 2}, {node: 1, write: true}},
 		perRun:    2,
 		maxAllocs: maxReadFaultAllocs, maxBytes: maxReadFaultBytes,
 		wantRead: 1, wantWrite: 1,
-	}} {
+	}}
+	// The same runs on the retrying protocol: every call to a node then
+	// carries a reply deadline, on a lossless fabric, under the same
+	// bounds.
+	for _, tc := range cases[:2] {
+		tc.name += "-retry"
+		tc.params = retryParams()
+		cases = append(cases, tc)
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			env, d := newTestDSM(tc.nodes, DefaultParams())
+			env, d := newTestDSM(tc.nodes, tc.params)
 			accesses := sim.NewQueue[access](env)
 			env.Spawn("accessor", func(p *sim.Proc) {
 				for {

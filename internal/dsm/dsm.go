@@ -167,19 +167,14 @@ type dirEntry struct {
 	copyset map[int]bool
 }
 
-// faultReq is the payload of a fault request to the directory.
+// faultReq is the payload of a fault request to the directory. The
+// directory's fetch, inv and invfetch calls carry the request they serve;
+// the replica holder reads its page.
 type faultReq struct {
 	id    uint64
 	page  mem.PageID
-	node  int
+	node  int // the faulting node
 	write bool
-}
-
-// fetchReq asks a page's owner for its bytes, downgrading or invalidating
-// the owner's copy.
-type fetchReq struct {
-	page       mem.PageID
-	invalidate bool
 }
 
 // grantMsg carries the directory's answer to a fault back to the faulting
@@ -192,10 +187,8 @@ type fetchReq struct {
 // the same grant (a duplicate, a re-send after a lost ack) finds the fault
 // no longer pending and never reads it.
 type grantMsg struct {
-	id    uint64
-	page  mem.PageID
-	write bool
-	data  []byte // nil when the requester's existing copy remains valid
+	faultReq        // the request answered
+	data     []byte // nil when the requester's existing copy remains valid
 }
 
 // pendingFault is requester-side bookkeeping for one in-flight fault.
@@ -225,9 +218,9 @@ type DSM struct {
 	service   string
 	dirSvc    string // service + ".dir", interned off the fault hot path
 	ownSvc    string // service + ".own", likewise
-	dirProc   string // service + ".dir.", prefix for directory proc names
-	invProc   string // service + ".inv.", prefix for invalidation proc names
-	procNames map[mem.PageID]pageProcs
+	dirTask   string // service + ".dir.", prefix for directory op task names
+	invTask   string // service + ".inv.", prefix for invalidation task names
+	taskNames map[mem.PageID]pageTasks
 
 	nextFault uint64
 	pending   map[uint64]*pendingFault
@@ -262,7 +255,7 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 		pending:    make(map[uint64]*pendingFault),
 		seen:       make(map[uint64]bool),
 		excluded:   make(map[int]bool),
-		procNames:  make(map[mem.PageID]pageProcs),
+		taskNames:  make(map[mem.PageID]pageTasks),
 		tr:         trace.FromEnv(env),
 	}
 	// Instance numbers are per messaging layer, so service (and span) names
@@ -270,8 +263,8 @@ func New(env *sim.Env, layer *msg.Layer, nodes []int, p Params) *DSM {
 	d.service = fmt.Sprintf("dsm%d", layer.Instance("dsm"))
 	d.dirSvc = d.service + ".dir"
 	d.ownSvc = d.service + ".own"
-	d.dirProc = d.service + ".dir."
-	d.invProc = d.service + ".inv."
+	d.dirTask = d.service + ".dir."
+	d.invTask = d.service + ".inv."
 	for i, n := range nodes {
 		if _, dup := d.idx[n]; dup {
 			panic(fmt.Sprintf("dsm: duplicate node %d", n))
@@ -508,17 +501,17 @@ func (d *DSM) entry(pg mem.PageID) *dirEntry {
 	return e
 }
 
-// pageProcs holds one page's directory and invalidation proc names.
-type pageProcs struct{ dir, inv string }
+// pageTasks holds one page's directory op and invalidation task names.
+type pageTasks struct{ dir, inv string }
 
-// names returns the page's proc names, formatted once per page so the
+// names returns the page's task names, formatted once per page so the
 // fault path builds no strings.
-func (d *DSM) names(pg mem.PageID) pageProcs {
-	n, ok := d.procNames[pg]
+func (d *DSM) names(pg mem.PageID) pageTasks {
+	n, ok := d.taskNames[pg]
 	if !ok {
 		s := strconv.Itoa(int(pg))
-		n = pageProcs{dir: d.dirProc + s, inv: d.invProc + s}
-		d.procNames[pg] = n
+		n = pageTasks{dir: d.dirTask + s, inv: d.invTask + s}
+		d.taskNames[pg] = n
 	}
 	return n
 }
@@ -557,13 +550,20 @@ func (d *DSM) retire(b []byte) {
 	d.free = append(d.free, b)
 }
 
-// handleDir serves fault requests at the origin directory. Each request is
-// handled by a short-lived process serialized per page, so concurrent
-// faults on one page queue while faults on different pages proceed in
-// parallel — matching the per-page locking of the kernel implementation.
-// The page lock is held until the requester acknowledges installing the
-// grant, which is what makes the protocol race-free: no replica can be
-// resurrected by a grant that was in flight when ownership moved on.
+// handleDir serves fault requests at the origin directory. It runs at
+// message delivery, like the kernel's message handler, and starts a dirOp
+// for each new request: a per-request state machine whose steps run as
+// event callbacks. Ops are serialized per page by the page lock, so
+// concurrent faults on one page queue while faults on different pages
+// proceed in parallel — matching the per-page locking of the kernel
+// implementation. The page lock is held until the requester acknowledges
+// installing the grant, which is what makes the protocol race-free: no
+// replica can be resurrected by a grant that was in flight when ownership
+// moved on.
+//
+// Each op is registered as a sim Task named dsmN.dir.<page>, and each of
+// its invalidations as one named dsmN.inv.<page>, so stall reports and
+// LiveProcs name a wedged request as they would a process.
 func (d *DSM) handleDir(m *msg.Message) {
 	req := m.Payload.(faultReq)
 	if d.seen[req.id] {
@@ -572,137 +572,262 @@ func (d *DSM) handleDir(m *msg.Message) {
 		return
 	}
 	d.seen[req.id] = true
-	parent := m.SpanID()
-	d.env.Spawn(d.names(req.page).dir, func(p *sim.Proc) {
-		if d.tr != nil {
-			dsp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.dir")
-			p.SetSpan(dsp)
-			defer d.tr.End(dsp)
+	op := &dirOp{grantMsg: grantMsg{faultReq: req}, d: d, span: m.SpanID(), task: d.env.Task(d.names(req.page).dir)}
+	op.run = op.resume
+	op.next = (*dirOp).start
+	d.env.Defer(0, op.run)
+}
+
+// dirOp is one fault request at the directory. Each step ends where the
+// request must wait — for the page lock, a reply, or an invalidation — and
+// the next step runs from a callback scheduled at exactly the point where
+// a process serving the request would have been woken, so events run in
+// the same order as they would with a process per request, without the
+// goroutine:
+//
+//	start → locked → grantRead → [fetched] → sendGrant → granted
+//	               → grantWrite → awaitInvs → sendGrant → granted
+type dirOp struct {
+	grantMsg // the request (id, page, requester node, write) and the grant's data
+	d        *DSM
+	e        *dirEntry    // the page's directory entry, once locked
+	task     *sim.Proc    // the op's entry in the process table
+	span     trace.SpanID // the request's delivery span until start opens the op's own
+	run      func()       // op.resume, bound once: every callback of the op
+	next     func(*dirOp) // the step run continues with
+	call     nodeCall     // the fetch or grant in flight
+	waitInv  *invOp       // the invalidation awaited; the later ones follow it
+	hasCopy  bool         // grantWrite: the requester held a valid copy
+}
+
+// resume is the op's one callback. While a call is in flight the call
+// consumes it (a reply, a timeout, the end of a backoff) until it
+// completes; then the op moves on to its next step.
+func (op *dirOp) resume() {
+	if op.call.active && !op.call.advance(op.d, op.span, op.run) {
+		return
+	}
+	op.next(op)
+}
+
+// callNode starts a call to another node that continues with then.
+func (op *dirOp) callNode(to int, kind string, size int, payload any, then func(*dirOp)) {
+	op.next = then
+	if op.call.start(op.d, to, kind, size, payload, op.span, op.run) {
+		then(op)
+	}
+}
+
+// start opens the op's span and queues for the page lock.
+func (op *dirOp) start() {
+	d := op.d
+	if d.tr != nil {
+		op.span = d.tr.Begin(op.span, trace.CatDSM, d.origin, "dsm.dir")
+	}
+	op.next = (*dirOp).locked
+	d.lock(op.page).LockFunc(op.run)
+}
+
+// locked runs once the op holds the page lock.
+func (op *dirOp) locked() {
+	op.e = op.d.entry(op.page)
+	if op.write {
+		op.grantWrite()
+	} else {
+		op.grantRead()
+	}
+}
+
+// grantRead adds the requester to the page's copyset, fetching the bytes
+// from the current owner.
+func (op *dirOp) grantRead() {
+	d, e := op.d, op.e
+	if e.copyset[op.node] {
+		// The requester already regained a copy (raced with an earlier
+		// grant from this node): nothing to transfer.
+		op.sendGrant()
+		return
+	}
+	switch {
+	case e.owner == d.origin:
+		lp := d.page(d.origin, op.page)
+		if lp.state == Exclusive {
+			lp.state = Shared
 		}
-		lk := d.lock(req.page)
-		lk.Lock(p)
-		defer lk.Unlock()
-		if req.write {
-			d.grantWrite(p, req)
+		op.data = d.snap(lp.data)
+	case !d.alive(e.owner):
+		op.data = d.reclaim(e, op.page)
+	default:
+		op.callNode(e.owner, "fetch", d.params.ReqBytes, &op.faultReq, (*dirOp).fetched)
+		return
+	}
+	op.readGranted()
+}
+
+// fetched takes the owner's bytes, or re-homes the page if the owner died.
+func (op *dirOp) fetched() {
+	if r := op.call.reply(); r != nil {
+		op.data = r.Payload.([]byte)
+	} else {
+		op.data = op.d.reclaim(op.e, op.page)
+	}
+	op.readGranted()
+}
+
+func (op *dirOp) readGranted() {
+	op.e.copyset[op.node] = true
+	op.d.reconcileOrigin(op.e, op.page)
+	op.sendGrant()
+}
+
+// grantWrite invalidates every other replica and transfers ownership (and,
+// if the requester lacks a valid copy, the bytes) to the requester.
+func (op *dirOp) grantWrite() {
+	d, e := op.d, op.e
+	op.hasCopy = e.copyset[op.node]
+	// Invalidate all replicas except the requester's, in parallel. The
+	// owner's replica is fetched-and-invalidated so its bytes reach the
+	// new owner. Iterate nodes in the DSM's fixed order (not map order):
+	// the order invalidations start in feeds the event sequence, and trace
+	// output must be byte-identical across same-seed runs.
+	var last *invOp
+	for _, n := range d.nodes {
+		if n == op.node || !e.copyset[n] {
+			continue
+		}
+		if n != d.origin && !d.alive(n) {
+			// A dead replica holder needs no invalidation; if it owned the
+			// only copy, fall back to the origin's (stale) replica.
+			if n == e.owner && !op.hasCopy {
+				op.data = d.snap(d.page(d.origin, op.page).data)
+			}
+			continue
+		}
+		inv := &invOp{op: op, node: n, task: d.env.Task(d.names(op.page).inv)}
+		inv.run = inv.resume
+		d.env.Defer(0, inv.run)
+		if last == nil {
+			op.waitInv = inv
 		} else {
-			d.grantRead(p, req)
+			last.next = inv
 		}
-	})
+		last = inv
+	}
+	op.next = (*dirOp).awaitInvs
+	op.awaitInvs()
+}
+
+// awaitInvs waits for the invalidations one at a time, in the order they
+// started: an invalidation's finish resumes the op only if the op is
+// waiting on it, and ones that finished earlier are passed over at once.
+// Once all are done, ownership moves to the requester.
+func (op *dirOp) awaitInvs() {
+	for ; op.waitInv != nil; op.waitInv = op.waitInv.next {
+		if !op.waitInv.done {
+			return
+		}
+	}
+	e := op.e
+	e.owner = op.node
+	clear(e.copyset)
+	e.copyset[op.node] = true
+	op.d.reconcileOrigin(e, op.page)
+	op.sendGrant()
 }
 
 // sendGrant delivers the grant to the requester and waits for its ack,
 // re-sending on timeout in fault mode. A requester that dies before
 // acknowledging leaves directory state pointing at it; MarkDead reconciles.
-func (d *DSM) sendGrant(p *sim.Proc, req faultReq, data []byte) {
-	size := d.params.ReqBytes
-	if data != nil {
+func (op *dirOp) sendGrant() {
+	size := op.d.params.ReqBytes
+	if op.data != nil {
 		size += mem.PageSize
 	}
-	g := grantMsg{id: req.id, page: req.page, write: req.write, data: data}
-	_, err := d.callNode(p, req.node, "grant", size, g)
-	_ = err // dead requester: give up; survivors proceed after MarkDead
+	op.callNode(op.node, "grant", size, &op.grantMsg, (*dirOp).granted)
 }
 
-// grantRead adds the requester to the page's copyset, fetching the bytes
-// from the current owner.
-func (d *DSM) grantRead(p *sim.Proc, req faultReq) {
-	e := d.entry(req.page)
-	if e.copyset[req.node] {
-		// The requester already regained a copy (raced with an earlier
-		// grant from this node): nothing to transfer.
-		d.sendGrant(p, req, nil)
+// granted ends the op once the grant is acknowledged, or once the
+// requester is found dead: survivors proceed after MarkDead.
+func (op *dirOp) granted() {
+	op.d.lock(op.page).Unlock()
+	op.d.tr.End(op.span)
+	op.task.Finish()
+}
+
+// invOp invalidates one replica for a write grant: the origin's in place,
+// another node's by an inv call, or by an invfetch call for the owner
+// whose bytes the requester lacks.
+type invOp struct {
+	op    *dirOp
+	next  *invOp // the invalidation started after this one
+	task  *sim.Proc
+	span  trace.SpanID
+	run   func() // inv.resume, bound once
+	call  nodeCall
+	node  int
+	fetch bool // an invfetch: the holder's bytes go to the new owner
+	done  bool
+}
+
+// resume is the invalidation's one callback: its start, then its call's.
+func (inv *invOp) resume() {
+	if !inv.call.active {
+		inv.start()
+	} else if inv.call.advance(inv.op.d, inv.span, inv.run) {
+		inv.called()
+	}
+}
+
+func (inv *invOp) start() {
+	op := inv.op
+	d := op.d
+	if d.tr != nil {
+		inv.span = d.tr.Begin(op.span, trace.CatDSM, d.origin, "dsm.inv")
+	}
+	inv.fetch = inv.node == op.e.owner && !op.hasCopy
+	if inv.node == d.origin {
+		lp := d.page(d.origin, op.page)
+		if inv.fetch {
+			op.data = d.snap(lp.data)
+		}
+		lp.state = Invalid
+		d.mustStats(d.origin).Invalidations++
+		inv.finish()
 		return
 	}
-	var data []byte
-	if e.owner == d.origin {
-		lp := d.page(d.origin, req.page)
-		if lp.state == Exclusive {
-			lp.state = Shared
-		}
-		data = d.snap(lp.data)
-	} else if !d.alive(e.owner) {
-		data = d.reclaim(e, req.page)
-	} else {
-		r, err := d.callNode(p, e.owner, "fetch", d.params.ReqBytes, fetchReq{page: req.page})
-		if err != nil {
-			data = d.reclaim(e, req.page)
-		} else {
-			data = r.Payload.([]byte)
-		}
+	kind := "inv"
+	if inv.fetch {
+		kind = "invfetch"
 	}
-	e.copyset[req.node] = true
-	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, data)
+	if inv.call.start(d, inv.node, kind, d.params.ReqBytes, &op.faultReq, inv.span, inv.run) {
+		inv.called()
+	}
 }
 
-// grantWrite invalidates every other replica and transfers ownership (and,
-// if the requester lacks a valid copy, the bytes) to the requester.
-func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
-	e := d.entry(req.page)
-	hasCopy := e.copyset[req.node]
-	var data []byte
-
-	// Invalidate all replicas except the requester's, in parallel. The
-	// owner's replica is fetched-and-invalidated so its bytes reach the
-	// new owner.
-	// Iterate nodes in the DSM's fixed order (not map order): the spawn
-	// order of invalidation processes feeds the event sequence, and trace
-	// output must be byte-identical across same-seed runs.
-	var buf [8]*sim.Event // replicas to invalidate are few: no heap slice
-	waits := buf[:0]
-	parent := p.Span()
-	for _, n := range d.nodes {
-		if n == req.node || !e.copyset[n] {
-			continue
+// called takes an invfetch's bytes, or the origin's replica if the owner
+// died. A holder that died mid-invalidation needs none: its replica is
+// unreachable and MarkDead drops it from the copyset.
+func (inv *invOp) called() {
+	op := inv.op
+	if inv.fetch {
+		if r := inv.call.reply(); r != nil {
+			op.data = r.Payload.([]byte)
+		} else {
+			op.data = op.d.snap(op.d.page(op.d.origin, op.page).data)
 		}
-		n := n
-		if n != d.origin && !d.alive(n) {
-			// A dead replica holder needs no invalidation; if it owned the
-			// only copy, fall back to the origin's (stale) replica.
-			if n == e.owner && !hasCopy {
-				data = d.snap(d.page(d.origin, req.page).data)
-			}
-			continue
-		}
-		inv := d.env.Spawn(d.names(req.page).inv, func(sub *sim.Proc) {
-			if d.tr != nil {
-				isp := d.tr.Begin(parent, trace.CatDSM, d.origin, "dsm.inv")
-				sub.SetSpan(isp)
-				defer d.tr.End(isp)
-			}
-			if n == d.origin {
-				lp := d.page(d.origin, req.page)
-				if n == e.owner && !hasCopy {
-					data = d.snap(lp.data)
-				}
-				lp.state = Invalid
-				d.mustStats(d.origin).Invalidations++
-				return
-			}
-			if n == e.owner && !hasCopy {
-				r, err := d.callNode(sub, n, "invfetch",
-					d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
-				if err != nil {
-					data = d.snap(d.page(d.origin, req.page).data)
-					return
-				}
-				data = r.Payload.([]byte)
-				return
-			}
-			// A holder that died mid-invalidation needs none: its replica
-			// is unreachable and MarkDead drops it from the copyset.
-			_, _ = d.callNode(sub, n, "inv",
-				d.params.ReqBytes, fetchReq{page: req.page, invalidate: true})
-		})
-		waits = append(waits, inv.Done())
 	}
-	p.WaitAll(waits...)
+	inv.finish()
+}
 
-	e.owner = req.node
-	clear(e.copyset)
-	e.copyset[req.node] = true
-	d.reconcileOrigin(e, req.page)
-	d.sendGrant(p, req, data)
+// finish retires the invalidation and resumes the op if it waits on it.
+func (inv *invOp) finish() {
+	op := inv.op
+	op.d.tr.End(inv.span)
+	inv.task.Finish()
+	inv.done = true
+	if op.waitInv == inv {
+		op.d.env.Defer(0, op.run)
+	}
 }
 
 // handleOwner serves grant installations and fetch/invalidate requests at
@@ -713,7 +838,7 @@ func (d *DSM) grantWrite(p *sim.Proc, req faultReq) {
 func (d *DSM) handleOwner(m *msg.Message) {
 	switch m.Kind {
 	case "grant":
-		g := m.Payload.(grantMsg)
+		g := m.Payload.(*grantMsg)
 		pf, ok := d.pending[g.id]
 		if !ok || !d.alive(m.To) {
 			// Either a re-sent grant for an already-installed id (the ack
@@ -742,7 +867,7 @@ func (d *DSM) handleOwner(m *msg.Message) {
 		m.Reply(d.params.ReqBytes, nil)
 		return
 	}
-	req := m.Payload.(fetchReq)
+	req := m.Payload.(*faultReq)
 	lp := d.page(m.To, req.page)
 	switch m.Kind {
 	case "fetch":

@@ -26,6 +26,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // FaultView answers liveness queries. Implemented by *fault.Injector; a nil
@@ -49,35 +50,79 @@ func (d *DSM) alive(node int) bool {
 	return d.fv == nil || d.fv.NodeAlive(node)
 }
 
-// callNode sends a request to another slice's handler. With no retry policy
-// it is a plain reliable Call. With one, it retries on timeout until the
-// destination is declared dead by the fault view — transient loss heals,
-// crash surfaces as an error.
-func (d *DSM) callNode(p *sim.Proc, to int, kind string, size int, payload any) (*msg.Message, error) {
-	if d.params.Retry.Timeout <= 0 {
-		return d.layer.Call(p, d.origin, to, d.ownSvc, kind, size, payload), nil
-	}
+// nodeCall is one call from the directory to another node's handler, on
+// behalf of a dirOp or invOp. With no retry policy it is a plain reliable
+// CallFunc. With one, each attempt carries the policy's reply deadline and
+// a timed-out attempt is re-sent after a capped exponential backoff, until
+// the destination is declared dead by the fault view — transient loss
+// heals, crash surfaces as a nil reply. Every wake-up (reply, deadline,
+// end of backoff) lands on the owner's resume callback, which hands it to
+// advance while the call is active; span and resume are the owner's.
+type nodeCall struct {
+	m        *msg.Message // the attempt in flight, then the answered one (nil if the destination died)
+	payload  any
+	kind     string
+	to       int
+	size     int
+	backoff  sim.Time
+	active   bool
+	sleeping bool // in a backoff: the next wake-up sends the next attempt
+}
+
+// start begins a call and reports whether it completed at once, which it
+// does, with no reply, when the destination is already dead.
+func (c *nodeCall) start(d *DSM, to int, kind string, size int, payload any, span trace.SpanID, resume func()) bool {
+	*c = nodeCall{payload: payload, kind: kind, to: to, size: size,
+		backoff: d.params.Retry.Backoff, active: true}
+	return c.attempt(d, span, resume)
+}
+
+// attempt sends the next attempt, or completes the call with no reply if
+// the destination is dead. It reports whether the call completed.
+func (c *nodeCall) attempt(d *DSM, span trace.SpanID, resume func()) bool {
 	rp := d.params.Retry
-	backoff := rp.Backoff
-	start := p.Now()
-	for attempt := 1; ; attempt++ {
-		if !d.alive(to) {
-			return nil, &msg.TimeoutError{To: to, Service: d.ownSvc, Kind: kind,
-				Attempts: attempt - 1, Elapsed: p.Now() - start}
-		}
-		r, err := d.layer.CallTimeout(p, d.origin, to, d.ownSvc, kind, size, payload, rp.Timeout)
-		if err == nil {
-			return r, nil
-		}
-		d.mustStats(d.origin).Retries++
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
-		}
+	if rp.Timeout <= 0 {
+		c.m = d.layer.CallFunc(span, d.origin, c.to, d.ownSvc, c.kind, c.size, c.payload, resume)
+		return false
 	}
+	if !d.alive(c.to) {
+		c.m, c.payload, c.active = nil, nil, false
+		return true
+	}
+	c.m = d.layer.CallFuncTimeout(span, d.origin, c.to, d.ownSvc, c.kind, c.size, c.payload, rp.Timeout, resume)
+	return false
+}
+
+// advance handles one wake-up of an active call and reports whether the
+// call completed.
+func (c *nodeCall) advance(d *DSM, span trace.SpanID, resume func()) bool {
+	if c.sleeping {
+		c.sleeping = false
+		return c.attempt(d, span, resume)
+	}
+	if c.m.Response() != nil {
+		c.payload, c.active = nil, false
+		return true
+	}
+	d.mustStats(d.origin).Retries++
+	if c.backoff <= 0 {
+		return c.attempt(d, span, resume)
+	}
+	c.sleeping = true
+	d.env.Defer(c.backoff, resume)
+	c.backoff *= 2
+	if mb := d.params.Retry.MaxBackoff; mb > 0 && c.backoff > mb {
+		c.backoff = mb
+	}
+	return false
+}
+
+// reply returns a completed call's reply, or nil if the destination died.
+func (c *nodeCall) reply() *msg.Message {
+	if c.m == nil {
+		return nil
+	}
+	return c.m.Response()
 }
 
 // reconcileOrigin re-settles the origin's replica record after a grant's

@@ -11,7 +11,7 @@
 // virtual time advances, and the workload never gets anywhere.
 //
 // WatchProgress arms a periodic check against a progress counter that
-// advances whenever a process finishes (and whenever MarkProgress is
+// advances whenever a process or task finishes (and whenever MarkProgress is
 // called — harnesses mark coarse milestones the proc table cannot see).
 // A full window with zero progress while other events are still flowing
 // stops the run and records a StallError naming every live process; the
@@ -27,7 +27,7 @@ import (
 )
 
 // StallError reports a window of virtual time in which the simulation
-// made no progress: no process finished and no MarkProgress call landed,
+// made no progress: no process or task finished and no MarkProgress call landed,
 // while the event queue either kept ticking (livelock — daemon timers
 // spinning over a wedged workload) or drained with processes still
 // parked (deadlock).
@@ -44,13 +44,13 @@ func (e *StallError) Error() string {
 }
 
 // MarkProgress advances the progress counter the watchdog observes.
-// Process completions count automatically; harnesses call this for
+// Process and task completions count automatically; harnesses call this for
 // milestones that do not retire a process (a page written, a fleet
 // decision logged, a recovery step done).
 func (e *Env) MarkProgress() { e.progress++ }
 
-// Progress returns the cumulative progress count (proc completions plus
-// explicit marks).
+// Progress returns the cumulative progress count (proc and task
+// completions plus explicit marks).
 func (e *Env) Progress() uint64 { return e.progress }
 
 // Stalled returns the stall recorded by the watchdog, or nil. It stays
